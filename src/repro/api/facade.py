@@ -163,13 +163,13 @@ class MetaCache:
         ``workers=1``.
 
         ``mmap=True`` memory-maps a format-v2 database instead of
-        reading it: cold open is near-instant (the saved pointer
-        tables are used verbatim, no rebuild), index pages fault in on
-        first query, and worker processes attach the same files
+        reading it: cold open is near-instant (the saved sorted keys,
+        offsets and locations are used as they are), index pages fault
+        in on first query, and worker processes attach the same files
         through the page cache instead of a shared-memory export.
         Classification output is byte-identical either way.  Format-v1
-        directories warn and load through the rebuild path; upgrade
-        them with :meth:`convert` or ``metacache-repro convert``.
+        directories warn and are read in full; upgrade them with
+        :meth:`convert` or ``metacache-repro convert``.
 
         ``shards=N`` serves the directory through a
         :class:`~repro.shard.ShardRouter` instead of querying it
@@ -611,9 +611,9 @@ class MetaCache:
     def save(self, path: str | os.PathLike, *, format: int = 1) -> list[Path]:
         """Write the database directory; returns the files created.
 
-        ``format=1`` (default) writes the compressed v1 layout;
-        ``format=2`` writes the mmap-ready layout whose cold open
-        needs no hash-table rebuild (see :meth:`open`).
+        ``format=1`` (default) writes the v1 NPZ layout; ``format=2``
+        writes the mmap-ready layout whose cold open reads no index
+        payload (see :meth:`open`).
         """
         return save_database(self.database, path, format=format)
 

@@ -288,13 +288,12 @@ class DatabaseBuilder:
             builder._n_windows += t.n_windows
             builder._n_bases += t.length
         for part in db.partitions:
-            features, lengths, locations = _condensed_content(part)
+            features, offsets, locations = _condensed_content(part)
+            lengths = np.diff(offsets)
             grown = _GrowingTable(
                 builder.params, initial_capacity=max(256, locations.size)
             )
             chunk_keys = _GrowingTable.REBUILD_CHUNK_KEYS
-            offsets = np.zeros(features.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
             for start in range(0, features.size, chunk_keys):
                 stop = min(features.size, start + chunk_keys)
                 feats = np.repeat(features[start:stop], lengths[start:stop])

@@ -14,8 +14,8 @@ Two storage layouts exist, as in the paper (Section 5.1):
 - the **build layout** -- the multi-bucket table as filled during
   construction; usable for querying immediately (on-the-fly mode);
 - the **condensed layout** -- produced by save/load: all location
-  buckets concatenated into one dense array with a single-value table
-  mapping features to (offset, length) pointers.
+  buckets concatenated into one dense array, addressed by CSR offsets
+  over the sorted distinct features (see :class:`CondensedIndex`).
 
 ``Database.query_features`` hides the difference from the pipeline.
 """
@@ -35,8 +35,8 @@ from repro.gpu.device import Device
 from repro.taxonomy.lca import LcaIndex
 from repro.taxonomy.lineage import RankedLineages
 from repro.taxonomy.tree import Taxonomy
+from repro.warpcore.base import sanitize_keys
 from repro.warpcore.multi_bucket import MultiBucketHashTable
-from repro.warpcore.single_value import SingleValueHashTable
 
 __all__ = [
     "TargetRecord",
@@ -64,64 +64,66 @@ class TargetRecord:
 
 @dataclass
 class CondensedIndex:
-    """The load-from-disk layout: dense buckets + pointer table.
+    """The load-from-disk layout: sorted keys + CSR offsets + dense buckets.
 
-    ``locations`` holds every feature's location list contiguously;
-    ``pointers`` maps a feature to its packed (offset << 24 | length)
-    via a :class:`SingleValueHashTable` (Section 5.1 uses exactly this
-    structure on the GPU).
+    ``keys`` holds the partition's distinct features in ascending
+    order; the location list of ``keys[i]`` is
+    ``locations[offsets[i]:offsets[i + 1]]``, where ``offsets`` (int64,
+    ``keys.size + 1`` entries) starts at 0 and ends at
+    ``locations.size``.  On the GPU the paper maps each feature to its
+    (offset, length) pointer through a single-value hash table
+    (Section 5.1), which suits a warp probing in lockstep; on the host
+    one vectorized binary search over the sorted keys answers a whole
+    batch, and a missing feature costs a single comparison.
     """
 
-    OFFSET_SHIFT = np.uint64(24)
-    LENGTH_MASK = np.uint64((1 << 24) - 1)
-
+    keys: np.ndarray
+    offsets: np.ndarray
     locations: np.ndarray
-    pointers: SingleValueHashTable
 
     @classmethod
     def from_table(cls, table: MultiBucketHashTable) -> "CondensedIndex":
         """Compact a build-layout table into the condensed layout."""
-        uniq = table.occupied_keys()
-        values, offsets = table.retrieve(uniq)
-        lengths = np.diff(offsets).astype(np.uint64)
-        if lengths.size and int(lengths.max()) >= (1 << 24):
-            raise ValueError("location list too long for condensed pointer")
-        packed = (offsets[:-1].astype(np.uint64) << cls.OFFSET_SHIFT) | lengths
-        pointers = SingleValueHashTable(capacity_keys=max(16, uniq.size))
-        pointers.insert(uniq, packed)
-        return cls(locations=values, pointers=pointers)
+        keys = table.occupied_keys()
+        locations, offsets = table.retrieve(keys)
+        return cls(keys=keys, offsets=offsets, locations=locations)
 
     def retrieve(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Same contract as ``MultiBucketHashTable.retrieve``."""
-        packed, found = self.pointers.retrieve(features)
-        lengths = np.where(found, packed & self.LENGTH_MASK, np.uint64(0)).astype(
-            np.int64
-        )
-        starts = (packed >> self.OFFSET_SHIFT).astype(np.int64)
-        offsets = np.zeros(features.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        out = np.empty(int(offsets[-1]), dtype=np.uint64)
-        # gather each query's slice (vectorized over a range matrix is
-        # wasteful for skewed lengths; use repeat-based gather instead)
-        if out.size:
-            idx = np.repeat(starts, lengths) + _ramp(lengths)
-            out[:] = self.locations[idx]
-        return out, offsets
+        """Same contract as ``MultiBucketHashTable.retrieve``.
+
+        The batch is searched in ascending order: successive binary
+        searches then share their upper levels, which is several times
+        faster than searching the queries as they come.
+        """
+        query = sanitize_keys(features)
+        out_offsets = np.zeros(query.size + 1, dtype=np.int64)
+        if not self.keys.size:
+            return np.zeros(0, dtype=np.uint64), out_offsets
+        order = np.argsort(query)
+        sorted_query = query[order]
+        slot = np.searchsorted(self.keys, sorted_query)
+        np.minimum(slot, self.keys.size - 1, out=slot)
+        found = self.keys[slot] == sorted_query
+        slot = slot[found]
+        hit = order[found]
+        starts = np.zeros(query.size, dtype=np.int64)
+        lengths = np.zeros(query.size, dtype=np.int64)
+        begin = self.offsets[slot]
+        starts[hit] = begin
+        lengths[hit] = self.offsets[slot + 1] - begin
+        np.cumsum(lengths, out=out_offsets[1:])
+        total = int(out_offsets[-1])
+        if not total:
+            return np.zeros(0, dtype=np.uint64), out_offsets
+        # repeat-based gather: output position j of query i reads
+        # locations[starts[i] + (j - out_offsets[i])]
+        hit = np.flatnonzero(lengths)
+        shift = np.repeat(starts[hit] - out_offsets[hit], lengths[hit])
+        return self.locations[np.arange(total, dtype=np.int64) + shift], out_offsets
 
     @property
     def nbytes(self) -> int:
-        return int(self.locations.nbytes) + self.pointers.stats().bytes_total
-
-
-def _ramp(lengths: np.ndarray) -> np.ndarray:
-    """[0,1,..,l0-1, 0,1,..,l1-1, ...] for the repeat-based gather."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    seg_starts = ends - lengths
-    return np.arange(total, dtype=np.int64) - np.repeat(seg_starts, lengths)
+        return int(self.keys.nbytes + self.offsets.nbytes + self.locations.nbytes)
 
 
 @dataclass
@@ -341,11 +343,7 @@ class Database:
             found: list[object] = []
             if p.condensed is not None:
                 cond = p.condensed
-                for array in (
-                    cond.locations,
-                    getattr(cond.pointers, "_keys", None),
-                    getattr(cond.pointers, "_values", None),
-                ):
+                for array in (cond.keys, cond.offsets, cond.locations):
                     mm = getattr(array, "_mmap", None)
                     if mm is not None:
                         found.append(mm)
@@ -407,23 +405,15 @@ class SharedArraySpec:
 
 @dataclass(frozen=True)
 class SharedPartitionSpec:
-    """One partition's condensed layout, described as shared blocks.
+    """One partition's condensed layout, described as shared blocks."""
 
-    ``pointer_keys`` / ``pointer_values`` are the raw slot arrays of
-    the feature -> (offset, length) single-value table;
-    ``n_groups`` / ``group_size`` / ``max_probe_rounds`` / ``size``
-    reconstruct the exact probing scheme, so attached workers probe
-    bit-identically to the exporting process.
-    """
-
+    keys: SharedArraySpec
+    offsets: SharedArraySpec
     locations: SharedArraySpec
-    pointer_keys: SharedArraySpec
-    pointer_values: SharedArraySpec
-    n_groups: int
-    group_size: int
-    max_probe_rounds: int
-    size: int
-    dropped: int
+
+    @property
+    def arrays(self) -> tuple[SharedArraySpec, ...]:
+        return (self.keys, self.offsets, self.locations)
 
 
 class SharedDatabaseHandle:
@@ -432,8 +422,8 @@ class SharedDatabaseHandle:
     The paper's query pipeline keeps one database resident per device
     and fans read batches out to it; the multi-process engine
     (:mod:`repro.parallel`) does the same on the host: the loaded
-    database's numpy arrays — condensed location lists, pointer-table
-    slots, and target metadata — are copied **once** into named
+    database's numpy arrays — condensed keys, offsets and location
+    lists, and target metadata — are copied **once** into named
     ``multiprocessing.shared_memory`` blocks, and every worker maps
     those blocks read-only at attach time.  N workers therefore share
     one physical copy of the index; per-worker memory is just the read
@@ -525,19 +515,12 @@ class SharedDatabaseHandle:
             for p in db.partitions:
                 cond = p.condensed
                 assert cond is not None  # condense() above guarantees it
-                probing = cond.pointers.probing
+                tag = f"p{p.partition_id}"
                 part_specs.append(
                     SharedPartitionSpec(
-                        locations=put(f"p{p.partition_id}-loc", cond.locations),
-                        pointer_keys=put(f"p{p.partition_id}-keys", cond.pointers._keys),
-                        pointer_values=put(
-                            f"p{p.partition_id}-vals", cond.pointers._values
-                        ),
-                        n_groups=probing.n_groups,
-                        group_size=probing.group_size,
-                        max_probe_rounds=probing.max_probe_rounds,
-                        size=len(cond.pointers),
-                        dropped=cond.pointers._dropped,
+                        keys=put(f"{tag}-keys", cond.keys),
+                        offsets=put(f"{tag}-offs", cond.offsets),
+                        locations=put(f"{tag}-loc", cond.locations),
                     )
                 )
             handle = cls(
@@ -641,22 +624,10 @@ class SharedDatabaseHandle:
     def _attach_partition(
         self, partition_id: int, spec: SharedPartitionSpec
     ) -> DatabasePartition:
-        from repro.warpcore.probing import ProbingScheme
-
-        probing = ProbingScheme(
-            n_groups=spec.n_groups,
-            group_size=spec.group_size,
-            max_probe_rounds=spec.max_probe_rounds,
-        )
-        pointers = SingleValueHashTable.from_arrays(
-            keys=self._map(spec.pointer_keys),
-            values=self._map(spec.pointer_values),
-            probing=probing,
-            size=spec.size,
-            dropped=spec.dropped,
-        )
         condensed = CondensedIndex(
-            locations=self._map(spec.locations), pointers=pointers
+            keys=self._map(spec.keys),
+            offsets=self._map(spec.offsets),
+            locations=self._map(spec.locations),
         )
         return DatabasePartition(
             partition_id=partition_id, table=None, condensed=condensed
@@ -669,7 +640,7 @@ class SharedDatabaseHandle:
         """Names of every shared block backing this handle."""
         names = [self.target_meta.name, self.target_name_bytes.name]
         for p in self.partitions:
-            names += [p.locations.name, p.pointer_keys.name, p.pointer_values.name]
+            names += [spec.name for spec in p.arrays]
         return names
 
     @property
@@ -677,7 +648,7 @@ class SharedDatabaseHandle:
         """Total payload bytes shared across processes (one copy)."""
         specs = [self.target_meta, self.target_name_bytes]
         for p in self.partitions:
-            specs += [p.locations, p.pointer_keys, p.pointer_values]
+            specs += p.arrays
         return sum(s.nbytes for s in specs)
 
     def close(self) -> None:

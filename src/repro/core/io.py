@@ -4,34 +4,38 @@ Two on-disk formats coexist:
 
 **Format v1** (the original) writes one metadata file (JSON:
 parameters, target records) plus NCBI-format taxonomy dumps plus one
-``.cache`` NPZ per partition holding the *condensed* layout: sorted
-distinct features, per-feature location counts and the flat
-concatenated location array -- the same content the real MetaCache
-serializes.  Loading a v1 directory reconstructs condensed partitions
-by *rebuilding* the feature -> pointer single-value hash table, which
-is the dominant cost of the load phase that on-the-fly mode avoids.
+uncompressed ``.cache`` NPZ per partition holding the *condensed*
+layout: sorted distinct features, per-feature location counts and the
+flat concatenated location array -- the same content the real
+MetaCache serializes.  Loading a v1 directory reads every array and
+turns the counts into offsets with one cumulative sum.
 
-**Format v2** (``save_database(..., format=2)``) additionally persists
-the already-built :class:`~repro.warpcore.single_value.SingleValueHashTable`
-slot arrays verbatim, as uncompressed page-aligned ``.npy`` files
-described by a ``manifest.json`` with per-array CRC-32 checksums.
+**Format v2** (``save_database(..., format=2)``) persists the query
+layout itself -- sorted features, CSR offsets and the dense location
+array of :class:`~repro.core.database.CondensedIndex` -- as
+uncompressed page-aligned ``.npy`` files described by a
+``manifest.json`` with per-array CRC-32 checksums.
 ``load_database(..., mmap=True)`` memory-maps those files and wraps
-them with :meth:`SingleValueHashTable.from_arrays` -- **zero rebuild,
-zero copy**: cold open is O(metadata), the index pages fault in on
-first probe, and any number of processes opening the same directory
-share one physical copy through the page cache.
+them as they are -- **zero rebuild, zero copy**: cold open is
+O(metadata), the index pages fault in on first lookup, and any number
+of processes opening the same directory share one physical copy
+through the page cache.
 
 v2 directory layout::
 
     database.meta          # JSON: format_version=2, params, targets
     nodes.dmp, names.dmp   # NCBI-format taxonomy dumps
     manifest.json          # per-array files/dtypes/shapes/CRC-32s
-                           # + pointer-table probing geometry
     part<P>.features.npy   # uint64, sorted distinct features
-    part<P>.lengths.npy    # int64, location-list length per feature
+    part<P>.offsets.npy    # int64, CSR offsets (n_features + 1 entries)
     part<P>.locations.npy  # uint64, dense concatenated location lists
-    part<P>.ptr_keys.npy   # uint32, pointer-table slot keys (verbatim)
-    part<P>.ptr_values.npy # uint64, packed (offset, length) slot values
+
+Earlier v2 directories list ``lengths`` (per-feature counts) instead
+of ``offsets``, plus the slot arrays of a feature -> (offset, length)
+hash table (``ptr_keys``, ``ptr_values``).  The loader tells the two
+apart by the manifest's array set, computes the offsets from the
+counts and ignores the hash-table slots; ``convert_database``
+rewrites such a directory in the current layout.
 
 Partition files written by a database built with N partitions can be
 loaded with any device assignment, mirroring "partitioned databases
@@ -65,8 +69,7 @@ from repro.core.database import (
 from repro.gpu.device import Device
 from repro.hashing.sketch import SketchParams
 from repro.taxonomy.ncbi import load_ncbi_dump, write_ncbi_dump
-from repro.warpcore.probing import ProbingScheme
-from repro.warpcore.single_value import SingleValueHashTable
+from repro.warpcore.base import EMPTY_KEY
 
 __all__ = [
     "save_database",
@@ -86,14 +89,12 @@ _MANIFEST_NAME = "manifest.json"
 _NPY_ALIGN = 4096  # data payload starts on a page boundary
 _NPY_MAGIC = b"\x93NUMPY\x01\x00"
 
-# (manifest key, file suffix, dtype) of every per-partition v2 array
-_V2_ARRAYS = (
-    ("features", "features", "<u8"),
-    ("lengths", "lengths", "<i8"),
-    ("locations", "locations", "<u8"),
-    ("ptr_keys", "ptr_keys", "<u4"),
-    ("ptr_values", "ptr_values", "<u8"),
-)
+# (manifest key, dtype) of every per-partition v2 array; the file is
+# part<P>.<key>.npy
+_V2_ARRAYS = (("features", "<u8"), ("offsets", "<i8"), ("locations", "<u8"))
+# the arrays read from an earlier v2 directory (counts, not offsets;
+# its ptr_keys/ptr_values hash-table slots are ignored)
+_V2_COUNT_ARRAYS = (("features", "<u8"), ("lengths", "<i8"), ("locations", "<u8"))
 
 
 def save_database(
@@ -101,10 +102,10 @@ def save_database(
 ) -> list[Path]:
     """Write the database **crash-atomically**; returns the files created.
 
-    ``format=1`` (default) writes the compressed NPZ layout; loading
-    it rebuilds the pointer hash table.  ``format=2`` writes the
-    mmap-ready layout described in the module docs; loading it (with
-    or without ``mmap=True``) performs **no** hash-table inserts.
+    ``format=1`` (default) writes the uncompressed NPZ layout; loading
+    it reads every array.  ``format=2`` writes the mmap-ready layout
+    described in the module docs; loading it with ``mmap=True`` reads
+    no index payload at all.
     Saving in v2 condenses the database in place (the condensed layout
     is the only one made of flat arrays), exactly like the
     shared-memory export does.  Raises :class:`DatabaseFormatError`
@@ -259,87 +260,49 @@ def _fsync_dir(path: Path) -> None:
 def _condensed_content(
     part: DatabasePartition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical (features, lengths, locations) of one partition.
+    """(features, offsets, locations) of one partition's condensed layout.
 
-    Features sorted ascending, locations re-packed densely in feature
-    order -- the serialized form shared by both disk formats.
+    The serialized form shared by both disk formats.  A build-layout
+    partition is compacted into a temporary index and left as it is.
     """
-    if part.condensed is not None:
-        cond = part.condensed
-        features, packed = _pointer_table_content(cond.pointers)
-        lengths = (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-        starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
-        order = np.argsort(features, kind="stable")
-        features = features[order]
-        lengths = lengths[order]
-        chunks = [cond.locations[s : s + l] for s, l in zip(starts[order], lengths)]
-        locations = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint64)
-        )
-    else:
-        table = part.table
-        features = table.occupied_keys()
-        locations, offsets = table.retrieve(features)
-        lengths = np.diff(offsets)
-    return (
-        features.astype(np.uint64),
-        np.asarray(lengths, dtype=np.int64),
-        np.asarray(locations, dtype=np.uint64),
-    )
+    cond = part.condensed
+    if cond is None:
+        cond = CondensedIndex.from_table(part.table)
+    return cond.keys, cond.offsets, cond.locations
 
 
 def _save_partitions_v1(db: Database, directory: Path) -> list[Path]:
-    """One compressed ``database.cache<P>`` NPZ per partition."""
+    """One uncompressed ``database.cache<P>`` NPZ per partition."""
     files: list[Path] = []
     for p, part in enumerate(db.partitions):
-        features, lengths, locations = _condensed_content(part)
+        features, offsets, locations = _condensed_content(part)
         path = directory / f"database.cache{p}"
         with open(path, "wb") as fh:
-            np.savez(fh, features=features, lengths=lengths, locations=locations)
+            np.savez(
+                fh, features=features, lengths=np.diff(offsets), locations=locations
+            )
         files.append(path)
     return files
 
 
 def _save_partitions_v2(db: Database, directory: Path) -> list[Path]:
-    """Aligned ``.npy`` files + checksum manifest per partition.
-
-    The pointer table is persisted **slot-verbatim**: its packed
-    values must therefore address the canonical dense locations
-    array.  Every internally-produced condensed index already does
-    (``CondensedIndex.from_table`` and both loaders emit canonical
-    packing); a hand-built non-canonical index is re-pointed here once
-    at save time so the invariant holds on disk.
-    """
+    """Aligned ``.npy`` files + checksum manifest per partition."""
     db.condense()
     files: list[Path] = []
     manifest: dict = {"format_version": FORMAT_V2, "alignment": _NPY_ALIGN,
                       "partitions": []}
     for p, part in enumerate(db.partitions):
-        features, lengths, locations = _condensed_content(part)
-        pointers = _canonical_pointers(part.condensed, features, lengths)
-        arrays = {
-            "features": features,
-            "lengths": lengths,
-            "locations": locations,
-            "ptr_keys": pointers._keys,
-            "ptr_values": pointers._values,
-        }
+        features, offsets, locations = _condensed_content(part)
+        arrays = {"features": features, "offsets": offsets, "locations": locations}
         entry: dict = {
             "partition_id": p,
             "n_features": int(features.size),
             "n_locations": int(locations.size),
-            "pointer_table": {
-                "n_groups": pointers.probing.n_groups,
-                "group_size": pointers.probing.group_size,
-                "max_probe_rounds": pointers.probing.max_probe_rounds,
-                "size": len(pointers),
-                "dropped": pointers._dropped,
-            },
             "arrays": {},
         }
-        for key, suffix, dtype in _V2_ARRAYS:
+        for key, dtype in _V2_ARRAYS:
             array = np.ascontiguousarray(arrays[key], dtype=np.dtype(dtype))
-            path = directory / f"part{p}.{suffix}.npy"
+            path = directory / f"part{p}.{key}.npy"
             crc = _write_npy_aligned(path, array)
             entry["arrays"][key] = {
                 "file": path.name,
@@ -353,29 +316,6 @@ def _save_partitions_v2(db: Database, directory: Path) -> list[Path]:
     manifest_path.write_text(json.dumps(manifest, indent=1))
     files.append(manifest_path)
     return files
-
-
-def _canonical_pointers(
-    cond: CondensedIndex, features: np.ndarray, lengths: np.ndarray
-) -> SingleValueHashTable:
-    """The partition's pointer table, guaranteed canonically packed.
-
-    Returns the existing table untouched (the common case: its packed
-    offsets already equal the dense cumulative sum over sorted
-    features); otherwise builds an equivalent canonical table -- a
-    save-time-only cost that keeps the zero-rebuild load invariant.
-    """
-    packed_now, found = cond.pointers.retrieve(features)
-    offsets = np.zeros(features.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    canonical = (offsets[:-1].astype(np.uint64) << CondensedIndex.OFFSET_SHIFT) | (
-        lengths.astype(np.uint64)
-    )
-    if bool(found.all()) and np.array_equal(packed_now, canonical):
-        return cond.pointers
-    pointers = SingleValueHashTable(capacity_keys=max(16, features.size))
-    pointers.insert(features, canonical)
-    return pointers
 
 
 def _write_npy_aligned(
@@ -406,17 +346,6 @@ def _write_npy_aligned(
         fh.write(header.encode("latin1"))
         fh.write(payload)
     return zlib.crc32(payload)
-
-
-def _pointer_table_content(
-    pointers: SingleValueHashTable,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (features, packed pointers) from a single-value table."""
-    occupied = pointers._keys != np.uint32(0xFFFFFFFF)
-    return (
-        pointers._keys[occupied].astype(np.uint64),
-        pointers._values[occupied],
-    )
 
 
 def _check_format_version(meta, meta_path: Path) -> int:
@@ -468,8 +397,8 @@ def load_database(
         only): cold open touches no index bytes, and concurrent
         processes opening the same directory share one physical copy
         through the page cache.  Ignored, with a ``UserWarning``, for
-        v1 directories (which have no mmap-able layout and rebuild
-        their pointer tables on load).
+        v1 directories (which have no mmap-able layout and are read
+        in full).
     verify:
         check every v2 array against its manifest CRC-32 (reads the
         full payload; defeats the O(1) open, so off by default --
@@ -525,8 +454,8 @@ def load_database(
         if mmap:
             warnings.warn(
                 f"{directory}: format v1 databases cannot be memory-mapped; "
-                "loading through the rebuild path (convert to v2 with "
-                "`metacache-repro convert` for zero-rebuild opens)",
+                "reading every array instead (convert to v2 with "
+                "`metacache-repro convert` for mapped opens)",
                 stacklevel=2,
             )
         condensed_parts = [
@@ -561,45 +490,65 @@ def load_database(
 
 
 def _load_condensed_v1(cache_path: Path, pid: int) -> CondensedIndex:
-    """Rebuild one partition's pointer table from a v1 NPZ (slow path)."""
+    """Read one partition from a v1 NPZ; offsets are the counts' cumsum."""
     try:
         with np.load(cache_path) as data:
-            features = data["features"]
+            features = np.asarray(data["features"], dtype=np.uint64)
             lengths = data["lengths"]
-            locations = data["locations"]
+            locations = np.asarray(data["locations"], dtype=np.uint64)
     except (DatabaseFormatError, FileNotFoundError):
         raise
     except (OSError, ValueError, KeyError) as exc:
         raise DatabaseFormatError(
             f"{cache_path}: corrupt partition file ({exc})"
         ) from exc
-    offsets = np.zeros(features.size + 1, dtype=np.int64)
+    where = f"{cache_path} (partition {pid})"
+    if lengths.shape != features.shape:
+        raise DatabaseFormatError(f"{where}: feature/length arrays disagree")
+    offsets = _offsets_from_lengths(lengths)
+    _check_index(where, features, offsets, locations)
+    return CondensedIndex(keys=features, offsets=offsets, locations=locations)
+
+
+def _offsets_from_lengths(lengths: np.ndarray) -> np.ndarray:
+    """CSR offsets (int64, one more entry) from per-feature counts."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    if int(offsets[-1]) != locations.size:
+    return offsets
+
+
+def _check_index(
+    where: str, features: np.ndarray, offsets: np.ndarray, locations: np.ndarray
+) -> None:
+    """Payload invariants of a condensed index (reads keys and offsets).
+
+    Features must be strictly ascending and below the reserved
+    sentinel -- the binary search and the query-side sentinel clamp
+    rely on both -- and the offsets must start at 0, never decrease
+    and end at the location count.
+    """
+    if features.size and (
+        bool((features[1:] <= features[:-1]).any())
+        or int(features[-1]) >= int(EMPTY_KEY)
+    ):
         raise DatabaseFormatError(
-            f"{cache_path}: corrupt location array (partition {pid})"
+            f"{where}: invalid feature array (features must be distinct, "
+            "ascending and below 0xFFFFFFFF)"
         )
-    if lengths.size and int(lengths.max()) >= (1 << 24):
+    if (
+        int(offsets[0]) != 0
+        or bool((offsets[1:] < offsets[:-1]).any())
+        or int(offsets[-1]) != locations.size
+    ):
         raise DatabaseFormatError(
-            f"{cache_path}: location list too long (partition {pid})"
+            f"{where}: corrupt location array (offsets do not index it)"
         )
-    packed = (offsets[:-1].astype(np.uint64) << CondensedIndex.OFFSET_SHIFT) | (
-        lengths.astype(np.uint64)
-    )
-    pointers = SingleValueHashTable(capacity_keys=max(16, features.size))
-    try:
-        pointers.insert(features, packed)
-    except ValueError as exc:
-        raise DatabaseFormatError(
-            f"{cache_path}: invalid feature in partition {pid} ({exc})"
-        ) from exc
-    return CondensedIndex(locations=locations, pointers=pointers)
 
 
 def _load_condensed_v2(
     directory: Path, n_partitions: int, *, mmap: bool, verify: bool
 ) -> list[CondensedIndex]:
-    """Open every v2 partition with zero pointer-table rebuild."""
+    """Open every v2 partition as stored (no index rebuild)."""
     manifest_path = directory / _MANIFEST_NAME
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -627,71 +576,51 @@ def _load_condensed_v2(
 def _load_partition_v2(
     directory: Path, entry: dict, pid: int, *, mmap: bool, verify: bool
 ) -> CondensedIndex:
-    """Map (or read) one partition's arrays and wrap them, copy-free."""
+    """Map (or read) one partition's arrays and wrap them, copy-free.
+
+    A partition of an earlier v2 directory (counts instead of offsets)
+    reads its counts and sums them into offsets at open.
+    """
     manifest_path = directory / _MANIFEST_NAME
+    where = f"{manifest_path}: partition {pid}"
     arrays: dict[str, np.ndarray] = {}
     try:
         specs = entry["arrays"]
-        for key, _suffix, dtype in _V2_ARRAYS:
+        counts_layout = "offsets" not in specs
+        for key, dtype in _V2_COUNT_ARRAYS if counts_layout else _V2_ARRAYS:
             spec = specs[key]
-            path = directory / str(spec["file"])
-            shape = tuple(int(n) for n in spec["shape"])
             arrays[key] = _open_npy(
-                path, np.dtype(dtype), shape, crc=spec["crc32"] if verify else None,
-                mmap=mmap,
+                directory / str(spec["file"]),
+                np.dtype(dtype),
+                tuple(int(n) for n in spec["shape"]),
+                crc=spec["crc32"] if verify else None,
+                mmap=mmap and key != "lengths",
             )
-        pt = entry["pointer_table"]
-        probing = ProbingScheme(
-            n_groups=int(pt["n_groups"]),
-            group_size=int(pt["group_size"]),
-            max_probe_rounds=int(pt["max_probe_rounds"]),
-        )
-        pointers = SingleValueHashTable.from_arrays(
-            keys=arrays["ptr_keys"],
-            values=arrays["ptr_values"],
-            probing=probing,
-            size=int(pt["size"]),
-            dropped=int(pt["dropped"]),
-        )
+        n_features = int(entry.get("n_features", arrays["features"].size))
+        n_locations = int(entry.get("n_locations", arrays["locations"].size))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatabaseFormatError(
             f"{manifest_path}: corrupt manifest for partition {pid} ({exc!r})"
         ) from exc
     features = arrays["features"]
-    lengths = arrays["lengths"]
     locations = arrays["locations"]
+    if counts_layout:
+        if arrays["lengths"].shape != features.shape:
+            raise DatabaseFormatError(f"{where}: feature/length arrays disagree")
+        offsets = _offsets_from_lengths(arrays["lengths"])
+    else:
+        offsets = arrays["offsets"]
     # header-only checks (no payload reads; mmap open stays O(metadata))
-    if features.shape != lengths.shape:
-        raise DatabaseFormatError(
-            f"{manifest_path}: partition {pid} feature/length arrays disagree"
-        )
-    if int(entry.get("n_features", features.size)) != features.size or int(
-        entry.get("n_locations", locations.size)
-    ) != locations.size:
-        raise DatabaseFormatError(
-            f"{manifest_path}: partition {pid} array sizes disagree with manifest"
-        )
-    # deep checks whenever the payload is (or will be) resident anyway:
-    # eager loads and verify=True cross-check the slot values queries
-    # actually probe, restoring v1-loader parity; a plain mmap open
-    # skips them by contract (cold open must not fault the index in)
+    if offsets.shape != (features.size + 1,):
+        raise DatabaseFormatError(f"{where}: feature/offset arrays disagree")
+    if n_features != features.size or n_locations != locations.size:
+        raise DatabaseFormatError(f"{where}: array sizes disagree with manifest")
+    # payload checks whenever the payload is (or will be) resident
+    # anyway: eager loads and verify=True; a plain mmap open skips them
+    # by contract (cold open must not fault the index in)
     if not mmap or verify:
-        if int(np.asarray(lengths).sum()) != locations.size:
-            raise DatabaseFormatError(
-                f"{manifest_path}: corrupt location array (partition {pid})"
-            )
-        occupied = np.asarray(pointers._keys) != np.uint32(0xFFFFFFFF)
-        packed = np.asarray(pointers._values)[occupied]
-        starts = (packed >> CondensedIndex.OFFSET_SHIFT).astype(np.int64)
-        spans = starts + (packed & CondensedIndex.LENGTH_MASK).astype(np.int64)
-        if int(occupied.sum()) != features.size or (
-            spans.size and int(spans.max()) > locations.size
-        ):
-            raise DatabaseFormatError(
-                f"{manifest_path}: pointer table of partition {pid} does not "
-                "match its location array"
-            )
-    return CondensedIndex(locations=locations, pointers=pointers)
+        _check_index(where, features, offsets, locations)
+    return CondensedIndex(keys=features, offsets=offsets, locations=locations)
 
 
 def _open_npy(
@@ -700,11 +629,24 @@ def _open_npy(
     """Open one manifest array, validating layout (and optionally CRC).
 
     Zero-size arrays are always read eagerly (an empty payload cannot
-    be mapped); everything else honors ``mmap``.
+    be mapped); everything else honors ``mmap``.  A mapped array is
+    opened straight from its format-1.0 header (the only version
+    :func:`_write_npy_aligned` writes), at a third of the cost of
+    ``np.load(mmap_mode="r")`` -- the header parse is most of an
+    O(metadata) open.
     """
     want_mmap = mmap and int(np.prod(shape, dtype=np.int64)) > 0
     try:
-        array = np.load(path, mmap_mode="r" if want_mmap else None)
+        if want_mmap:
+            with open(path, "rb") as fh:
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    raise ValueError("not a format-1.0 .npy file")
+                on_disk, _, on_disk_dtype = np.lib.format.read_array_header_1_0(fh)
+                array = np.memmap(
+                    fh, dtype=on_disk_dtype, mode="r", offset=fh.tell(), shape=on_disk
+                )
+        else:
+            array = np.load(path)
     except FileNotFoundError as exc:
         raise DatabaseFormatError(
             f"{path}: missing database array file ({exc})"

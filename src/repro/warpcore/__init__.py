@@ -21,8 +21,10 @@ device algorithm step for step.
 - :class:`MultiBucketHashTable` -- the paper's contribution.
 - :class:`MultiValueHashTable` -- WarpCore baseline, 1 value/slot.
 - :class:`BucketListHashTable` -- WarpCore baseline, linked buckets.
-- :class:`SingleValueHashTable` -- key -> single value; used for the
-  condensed (load-from-disk) query layout, Section 5.1.
+- :class:`SingleValueHashTable` -- key -> single value; the paper's GPU
+  condensed query layout (Section 5.1).  The host-side condensed
+  layout, :class:`repro.core.database.CondensedIndex`, uses sorted
+  keys and CSR offsets instead.
 """
 
 from repro.warpcore.base import EMPTY_KEY, HashTableFullError, TableStats

@@ -1,11 +1,13 @@
 """Tests of the format-v2 (mmap, zero-rebuild) database persistence.
 
-Covers the v2 writer/reader pair (aligned ``.npy`` layout, checksum
-manifest, version negotiation), the zero-insert open guarantee, mmap
-attach semantics (``np.memmap`` views, page-cache sharing through
-:class:`FileBackedDatabaseHandle`), classification equivalence across
-{v1, v2, v2+mmap, v2+workers}, the ``convert`` upgrade path (API and
-CLI), and the reserved-sentinel regression on the pointer table.
+Covers the v2 writer/reader pair (aligned ``.npy`` sorted-key + CSR
+offset layout, checksum manifest, version negotiation), the
+payload-free mmap open, the offset invariants eager and verified opens
+enforce, mmap attach semantics (``np.memmap`` views, page-cache
+sharing through :class:`FileBackedDatabaseHandle`), classification
+equivalence across {v1, v2, v2+mmap, v2+workers}, the ``convert``
+upgrade path (API and CLI), the earlier hash-table-pointer v2 layout
+(a committed fixture), and the reserved-sentinel regression.
 """
 
 import json
@@ -17,13 +19,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import DatabaseFormatError, MetaCache, MetaCacheParams, TsvSink
+from repro.api import (
+    DatabaseFormatError,
+    MetaCache,
+    MetaCacheParams,
+    SketchParams,
+    TsvSink,
+)
 from repro.cli import main as cli_main
 from repro.core.classify import classify_reads
 from repro.core.database import Database, FileBackedDatabaseHandle
 from repro.core.io import (
     FORMAT_V2,
     _NPY_ALIGN,
+    _write_npy_aligned,
     convert_database,
     load_database,
     save_database,
@@ -37,6 +46,12 @@ from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.warpcore.single_value import SingleValueHashTable
 
 PARAMS = MetaCacheParams.small()
+CSR_ARRAYS = {"features", "offsets", "locations"}
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+# a v2 directory saved from the golden corpus (k=8 s=4 w=24, one
+# partition) before v2 switched to CSR offsets: its manifest lists
+# lengths plus the ptr_keys/ptr_values hash-table slots
+POINTER_V2_DIR = Path(__file__).parent / "data" / "golden_v2_pointer"
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +84,16 @@ def _taxa(db, seqs):
     return classify_reads(db, result.candidates).taxon
 
 
+def _rewrite_array(directory, pid, key, array):
+    """Replace one v2 array file and keep its manifest CRC consistent."""
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    spec = manifest["partitions"][pid]["arrays"][key]
+    spec["crc32"] = _write_npy_aligned(directory / spec["file"], array)
+    spec["shape"] = list(array.shape)
+    manifest_path.write_text(json.dumps(manifest))
+
+
 def _classify_tsv(tmp_path, db_dir, read_file, name, **open_kwargs):
     out = tmp_path / name
     with MetaCache.open(db_dir, **open_kwargs) as mc:
@@ -83,16 +108,31 @@ class TestV2Layout:
         manifest = json.loads((v2 / "manifest.json").read_text())
         assert manifest["format_version"] == FORMAT_V2
         assert len(manifest["partitions"]) == 2
-        for entry in manifest["partitions"]:
-            for key in ("features", "lengths", "locations", "ptr_keys",
-                        "ptr_values"):
-                spec = entry["arrays"][key]
-                path = v2 / spec["file"]
-                assert path.is_file()
-                payload = np.load(path)
+        files = set()
+        for pid, entry in enumerate(manifest["partitions"]):
+            assert set(entry["arrays"]) == CSR_ARRAYS
+            assert "pointer_table" not in entry
+            for key, spec in entry["arrays"].items():
+                assert spec["file"] == f"part{pid}.{key}.npy"
+                payload = np.load(v2 / spec["file"])
                 assert zlib.crc32(payload.tobytes()) == spec["crc32"]
-            pt = entry["pointer_table"]
-            assert pt["size"] == entry["n_features"]
+                files.add(spec["file"])
+        # the manifest names every array file in the directory
+        assert files == {p.name for p in v2.glob("*.npy")}
+
+    def test_offsets_index_the_locations(self, world):
+        """Offsets start at 0, never decrease, end at locations.size."""
+        _, v2, _, _ = world
+        manifest = json.loads((v2 / "manifest.json").read_text())
+        for pid, entry in enumerate(manifest["partitions"]):
+            features = np.load(v2 / f"part{pid}.features.npy")
+            offsets = np.load(v2 / f"part{pid}.offsets.npy")
+            locations = np.load(v2 / f"part{pid}.locations.npy")
+            assert offsets.dtype == np.int64
+            assert offsets.shape == (features.size + 1,)
+            assert offsets[0] == 0 and offsets[-1] == locations.size
+            assert (np.diff(offsets) > 0).all()  # every feature has a location
+            assert (np.diff(features.astype(np.int64)) > 0).all()
 
     def test_npy_payloads_page_aligned(self, world):
         _, v2, _, _ = world
@@ -109,29 +149,42 @@ class TestV2Layout:
 
 
 class TestZeroRebuildOpen:
-    def test_v2_open_performs_no_inserts(self, world, monkeypatch):
-        """The acceptance criterion: v2 open never rebuilds the table."""
-        v1, v2, _, _ = world
-        calls = []
-        original = SingleValueHashTable.insert
+    def test_mmap_open_reads_no_payload(self, world, tmp_path):
+        """A mmap open touches headers only, never an index payload.
 
-        def counting(self, keys, values):
-            calls.append(np.asarray(keys).size)
-            return original(self, keys, values)
+        Every payload byte of every array is overwritten with garbage
+        (headers and sizes stay valid): an open that read any payload
+        to check or rebuild it would notice, as the eager open does.
+        """
+        import shutil
 
-        monkeypatch.setattr(SingleValueHashTable, "insert", counting)
-        load_database(v2)
-        load_database(v2, mmap=True)
-        assert calls == []
-        load_database(v1)  # the rebuild path, by contrast, inserts
-        assert calls != []
+        _, v2, _, _ = world
+        dst = tmp_path / "garbage"
+        shutil.copytree(v2, dst)
+        for path in dst.glob("*.npy"):
+            blob = bytearray(path.read_bytes())
+            blob[_NPY_ALIGN:] = b"\xa5" * (len(blob) - _NPY_ALIGN)
+            path.write_bytes(bytes(blob))
+        db = load_database(dst, mmap=True)
+        try:
+            for part in db.partitions:
+                cond = part.condensed
+                for array in (cond.keys, cond.offsets, cond.locations):
+                    assert isinstance(array, np.memmap)
+        finally:
+            db.close()
+        with pytest.raises(DatabaseFormatError):
+            load_database(dst)
+        with pytest.raises(DatabaseFormatError, match="checksum mismatch"):
+            load_database(dst, mmap=True, verify=True)
 
     def test_mmap_views_are_memmaps(self, world):
         _, v2, _, _ = world
         db = load_database(v2, mmap=True)
         cond = db.partitions[0].condensed
         assert isinstance(cond.locations, np.memmap)
-        assert isinstance(cond.pointers._keys, np.memmap)
+        assert isinstance(cond.keys, np.memmap)
+        assert isinstance(cond.offsets, np.memmap)
         assert db.mmap_path == v2
         assert db.format_version == FORMAT_V2
 
@@ -243,6 +296,70 @@ class TestConvert:
             MetaCache.convert(tmp_path / "absent", tmp_path / "out")
 
 
+class TestPointerLayoutCompat:
+    """The committed v2 directory in the earlier hash-table layout."""
+
+    def test_fixture_has_the_pointer_layout(self):
+        manifest = json.loads((POINTER_V2_DIR / "manifest.json").read_text())
+        (entry,) = manifest["partitions"]
+        assert set(entry["arrays"]) == {
+            "features", "lengths", "locations", "ptr_keys", "ptr_values"
+        }
+        assert "pointer_table" in entry
+        # the arrays the loader reads match their manifest CRCs
+        load_database(POINTER_V2_DIR, mmap=True, verify=True).close()
+
+    @pytest.mark.parametrize(
+        "open_kwargs", [{}, {"mmap": True}], ids=["eager", "mmap"]
+    )
+    def test_classifies_golden_bytes(self, tmp_path, open_kwargs):
+        got = _classify_tsv(
+            tmp_path, POINTER_V2_DIR, GOLDEN_DIR / "reads.fastq", "out.tsv",
+            **open_kwargs,
+        )
+        assert got == (GOLDEN_DIR / "expected.tsv").read_bytes()
+
+    def test_convert_rewrites_csr_layout(self, tmp_path):
+        dst = tmp_path / "converted"
+        convert_database(POINTER_V2_DIR, dst)
+        manifest = json.loads((dst / "manifest.json").read_text())
+        (entry,) = manifest["partitions"]
+        assert set(entry["arrays"]) == CSR_ARRAYS
+        assert not list(dst.glob("*ptr_*"))
+        # ...file for file what a fresh v2 save of the same build writes
+        fresh = tmp_path / "fresh"
+        golden_params = MetaCacheParams(
+            sketch=SketchParams(k=8, sketch_size=4, window_size=24)
+        )
+        with MetaCache.build(
+            [GOLDEN_DIR / "refs.fasta"],
+            taxonomy=GOLDEN_DIR,
+            mapping=GOLDEN_DIR / "acc2tax.tsv",
+            params=golden_params,
+        ) as mc:
+            mc.save(fresh, format=2)
+        assert sorted(p.name for p in dst.iterdir()) == sorted(
+            p.name for p in fresh.iterdir()
+        )
+        for path in sorted(dst.iterdir()):
+            assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name
+        got = _classify_tsv(
+            tmp_path, dst, GOLDEN_DIR / "reads.fastq", "out.tsv", mmap=True
+        )
+        assert got == (GOLDEN_DIR / "expected.tsv").read_bytes()
+
+    def test_eager_open_checks_lengths(self, tmp_path):
+        import shutil
+
+        dst = tmp_path / "copy"
+        shutil.copytree(POINTER_V2_DIR, dst)
+        lengths = np.load(dst / "part0.lengths.npy").copy()
+        lengths[0] += 1
+        _rewrite_array(dst, 0, "lengths", lengths)
+        with pytest.raises(DatabaseFormatError, match="offsets do not index"):
+            load_database(dst)
+
+
 class TestMmapOverwriteGuard:
     """Pin the resolve-both-sides spelling of the overwrite guard.
 
@@ -344,28 +461,51 @@ class TestCorruption:
     def test_missing_array_file(self, world, tmp_path):
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        (dst / "part1.ptr_values.npy").unlink()
-        with pytest.raises(DatabaseFormatError, match="part1.ptr_values.npy"):
+        (dst / "part1.offsets.npy").unlink()
+        with pytest.raises(DatabaseFormatError, match="part1.offsets.npy"):
             load_database(dst)
 
-    def test_corrupt_pointer_values_detected_on_eager_load(
-        self, world, tmp_path
+    @pytest.mark.parametrize("damage", ["decreasing", "short", "nonzero_start"])
+    def test_corrupt_offsets_detected_on_eager_and_verified_open(
+        self, world, tmp_path, damage
     ):
-        """Eager loads cross-check the slot values queries probe."""
+        """Eager and verified opens check the offsets index the locations.
+
+        The manifest CRC is rewritten to match, so the offset check
+        itself -- not the checksum -- must catch the damage; a plain
+        mmap open stays lazy by contract.
+        """
         _, v2, _, _ = world
         dst = self._copy_v2(v2, tmp_path)
-        keys = np.load(dst / "part0.ptr_keys.npy")
-        slot = int(np.flatnonzero(keys != np.uint32(0xFFFFFFFF))[0])
-        victim = dst / "part0.ptr_values.npy"
-        blob = bytearray(victim.read_bytes())
-        offset = len(blob) - keys.size * 8 + slot * 8
-        blob[offset : offset + 8] = b"\xff" * 8  # absurd (offset, length)
-        victim.write_bytes(bytes(blob))
-        with pytest.raises(DatabaseFormatError, match="pointer table"):
-            load_database(dst)  # eager: caught without verify=
-        load_database(dst, mmap=True)  # mmap contract: open stays lazy
-        with pytest.raises(DatabaseFormatError):
+        offsets = np.load(dst / "part0.offsets.npy").copy()
+        if damage == "decreasing":
+            offsets[1], offsets[2] = offsets[2], offsets[1]
+        elif damage == "short":
+            offsets[-1] -= 1
+        else:
+            offsets[0] = 1
+        _rewrite_array(dst, 0, "offsets", offsets)
+        with pytest.raises(DatabaseFormatError, match="offsets do not index"):
+            load_database(dst)
+        load_database(dst, mmap=True).close()
+        with pytest.raises(DatabaseFormatError, match="offsets do not index"):
             load_database(dst, mmap=True, verify=True)
+
+    def test_unsorted_features_detected_on_eager_open(self, world, tmp_path):
+        _, v2, _, _ = world
+        dst = self._copy_v2(v2, tmp_path)
+        features = np.load(dst / "part0.features.npy")[::-1].copy()
+        _rewrite_array(dst, 0, "features", features)
+        with pytest.raises(DatabaseFormatError, match="invalid feature"):
+            load_database(dst)
+
+    def test_offsets_shape_mismatch_detected(self, world, tmp_path):
+        _, v2, _, _ = world
+        dst = self._copy_v2(v2, tmp_path)
+        offsets = np.load(dst / "part0.offsets.npy")[:-1].copy()
+        _rewrite_array(dst, 0, "offsets", offsets)
+        with pytest.raises(DatabaseFormatError, match="feature/offset"):
+            load_database(dst, mmap=True)  # a header check: even lazy opens
 
     def test_shape_mismatch_detected(self, world, tmp_path):
         _, v2, _, _ = world
@@ -394,9 +534,9 @@ class TestSentinelRegression:
         """A build-table feature equal to the sentinel round-trips.
 
         The build tables reserve the sentinel by clamping it onto
-        0xFFFFFFFE; the condensed/persisted pointer tables and both
-        disk formats must keep that feature retrievable -- it must not
-        vanish from occupied-slot scans on the way to disk and back.
+        0xFFFFFFFE; the condensed index and both disk formats must
+        keep that feature retrievable -- it must not vanish from
+        occupied-slot scans on the way to disk and back.
         """
         genomes = GenomeSimulator(seed=5).simulate_collection(2, 1, 3000)
         taxonomy, taxa = build_taxonomy_for_genomes(genomes)

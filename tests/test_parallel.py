@@ -47,11 +47,19 @@ PARAMS = MetaCacheParams.small()
 WORKERS = 2  # the CI box has few cores; 2 exercises every code path
 
 
-def _leaked_blocks() -> list[str]:
-    try:
-        return [b for b in os.listdir("/dev/shm") if b.startswith("mcdb-")]
-    except FileNotFoundError:  # non-Linux: trust the resource tracker
-        return []
+def _leaked_blocks(names: list[str]) -> list[str]:
+    """Which of one handle's shared blocks still exist.
+
+    Checks only the blocks the test itself created, so shared memory
+    of a concurrently running repro process cannot fail the check.
+    Without ``/dev/shm`` (non-Linux) the resource tracker is trusted.
+    """
+    return [n for n in names if os.path.exists(os.path.join("/dev/shm", n))]
+
+
+def _engine_blocks(engine: ParallelClassifier) -> list[str]:
+    """Shared blocks backing a pool (recorded before it closes)."""
+    return list(engine._handle.block_names)
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +144,15 @@ class TestSharedDatabaseHandle:
     def test_double_close_and_double_unlink(self, world):
         mc, _, _ = world
         handle = mc.database.to_shared()
+        names = handle.block_names
+        if os.path.isdir("/dev/shm"):  # the check sees live blocks
+            assert names and _leaked_blocks(names) == names
         handle.attach()
         handle.close()
         handle.close()
         handle.unlink()
         handle.unlink()
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(names)
 
     def test_attach_after_unlink_raises(self, world):
         mc, _, _ = world
@@ -157,7 +168,7 @@ class TestSharedDatabaseHandle:
         with mc.database.to_shared() as handle:
             names = handle.block_names
             assert names and handle.nbytes > 0
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(names)
 
 
 # ------------------------------------------------------------- reassembly
@@ -200,6 +211,7 @@ class TestParallelClassifier:
     def test_byte_identical_and_ordered(self, world, serial_taxa):
         mc, headers, seqs = world
         with ParallelClassifier(mc.database, workers=WORKERS) as engine:
+            names = _engine_blocks(engine)
             results = list(engine.classify_chunks(_chunks(headers, seqs, 17)))
             # engine is reusable after a clean run
             again = list(engine.classify_chunks(_chunks(headers, seqs, 17)))
@@ -210,7 +222,7 @@ class TestParallelClassifier:
         assert np.array_equal(taxa2, serial_taxa)
         assert sum(r.n_reads for r in results) == len(seqs)
         assert all(r.worker_id >= 0 and r.compute_seconds >= 0 for r in results)
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(names)
 
     def test_worker_crash_raises_and_cleans_up(self, world):
         mc, headers, seqs = world
@@ -228,7 +240,7 @@ class TestParallelClassifier:
         with pytest.raises(WorkerCrashError):
             list(engine.classify_chunks(chunks()))
         assert engine.closed
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(_engine_blocks(engine))
 
     def test_worker_task_error_surfaces_traceback(self, world):
         mc, headers, seqs = world
@@ -244,7 +256,7 @@ class TestParallelClassifier:
         with pytest.raises(PipelineError, match="worker traceback"):
             list(engine.classify_chunks([chunk]))
         assert engine.closed
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(_engine_blocks(engine))
 
     def test_abandoned_run_closes_engine(self, world):
         mc, headers, seqs = world
@@ -254,7 +266,7 @@ class TestParallelClassifier:
         assert engine.closed
         with pytest.raises(PipelineError, match="closed"):
             list(engine.classify_chunks(_chunks(headers, seqs, 10)))
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(_engine_blocks(engine))
 
     def test_rejects_bad_worker_count(self, world):
         mc, _, _ = world
@@ -286,6 +298,7 @@ class TestClassifyFilesParallel:
         with mc.session(workers=WORKERS) as session:
             with TsvSink(parallel_out) as sink:
                 rn = session.classify_files(read_file, sink=sink, batch_size=16)
+            names = _engine_blocks(session._engine)
             # second call reuses the same engine (and stays identical)
             second = tmp_path / "parallel2.tsv"
             with TsvSink(second) as sink:
@@ -296,7 +309,7 @@ class TestClassifyFilesParallel:
         assert rn.n_classified == r1.n_classified
         assert rn.n_batches == r1.n_batches
         assert rn.taxon_counts == r1.taxon_counts
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(names)
 
     def test_paired_end_parallel_matches_serial(self, world, read_file, tmp_path):
         mc, _, _ = world
@@ -347,20 +360,22 @@ class TestClassifyFilesParallel:
             engine = session._ensure_engine(WORKERS)
             if engine is None:
                 pytest.skip("shared memory unavailable on this platform")
+            names = _engine_blocks(engine)
             os.kill(engine._procs[0].pid, signal.SIGKILL)
             engine._procs[0].join(timeout=10)
             with pytest.raises(WorkerCrashError, match="reads.fastq"):
                 session.classify_files(read_file, sink=CollectSink(), batch_size=8)
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(names)
 
     def test_metacache_close_shuts_down_pools(self, world, read_file):
         mc, _, _ = world
         session = mc.session(workers=WORKERS)
         session.classify_files(read_file, sink=CollectSink(), batch_size=16)
         assert session._engine is not None and not session._engine.closed
+        names = _engine_blocks(session._engine)
         mc.close()
         assert session._engine is None or session._engine.closed
-        assert not _leaked_blocks()
+        assert not _leaked_blocks(names)
 
     def test_shared_memory_probe_is_safe(self):
         assert shared_memory_available() in (True, False)

@@ -23,8 +23,13 @@ simulated read file through the public API under eight configurations:
 
 All TSV outputs must match byte for byte, and the extended v2
 directory must be **file-for-file byte-identical** to the one-shot v2
-directory.  Exit status 0 when they do, 1 (with a diff summary) when
-any diverges.
+directory.  A last leg opens the committed v2 directory written before
+v2 switched to CSR offsets (``tests/data/golden_v2_pointer``: lengths
+plus hash-table pointer slots), eagerly, memory-mapped and after
+``convert_database``, and requires each to classify the golden reads
+byte-identically to ``tests/data/golden/expected.tsv``.  Exit status 0
+when everything matches, 1 (with a diff summary) when anything
+diverges.
 
 Usage:
 
@@ -33,6 +38,7 @@ Usage:
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -40,7 +46,7 @@ from pathlib import Path
 from repro.api import MetaCache, TsvSink
 from repro.bench.workloads import hiseq_mini
 from repro.core.database import Database
-from repro.core.io import convert_database, save_database
+from repro.core.io import convert_database, load_database, save_database
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 
@@ -68,8 +74,43 @@ def _classify_through_reload(
     return before.read_bytes(), after.read_bytes()
 
 
+TESTS_DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+
+
+def _check_pointer_layout(tmp: Path) -> list[str]:
+    """The earlier-layout v2 fixture leg; returns the diverging configs."""
+    fixture = TESTS_DATA / "golden_v2_pointer"
+    golden = TESTS_DATA / "golden"
+    expected = (golden / "expected.tsv").read_bytes()
+    converted = tmp / "pointer-converted"
+    convert_database(fixture, converted)
+    layout = {
+        key
+        for entry in json.loads((converted / "manifest.json").read_text())[
+            "partitions"
+        ]
+        for key in entry["arrays"]
+    }
+    failed = [] if layout == {"features", "offsets", "locations"} else [
+        f"pointer-v2 convert (arrays {sorted(layout)})"
+    ]
+    configs = {
+        "pointer-v2": (fixture, {}),
+        "pointer-v2+mmap": (fixture, {"mmap": True}),
+        "pointer-v2-converted": (converted, {"mmap": True}),
+    }
+    for name, (db_dir, kwargs) in configs.items():
+        got = _classify(db_dir, golden / "reads.fastq", tmp / f"{name}.tsv", **kwargs)
+        status = "ok" if got == expected else "DIVERGED"
+        print(f"{name:>20}: {len(got):7d} TSV bytes  [{status} vs golden]")
+        if got != expected:
+            failed.append(name)
+    load_database(converted, verify=True).close()
+    return failed
+
+
 def main() -> int:
-    """Run the six-way comparison; 0 = identical, 1 = divergence."""
+    """Run every comparison; 0 = identical, 1 = divergence."""
     dataset = hiseq_mini(600)
     refset = dataset.refset
     db = Database.build(refset.references, refset.taxonomy, n_partitions=2)
@@ -136,6 +177,7 @@ def main() -> int:
             outputs["v2-pre-reload"],
             outputs["v2-post-reload"],
         ) = _classify_through_reload(v2_dir, ext_dir, read_file, tmp)
+        pointer_failed = _check_pointer_layout(tmp)
 
     reference_name, reference = next(iter(outputs.items()))
     if not reference.strip():
@@ -153,7 +195,16 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"OK: {len(outputs)} configurations byte-identical")
+    if pointer_failed:
+        print(
+            f"FAIL: {', '.join(pointer_failed)} diverged from the golden TSV",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"OK: {len(outputs)} configurations byte-identical; the earlier v2 "
+        "layout classifies the golden reads byte-identically"
+    )
     return 0
 
 
