@@ -4,9 +4,9 @@ constant-time LCA batches -- plus the packed-vs-legacy stage
 breakdown gating the packed-batch refactor.
 
 The breakdown runs the full classify path twice over the same reads
--- ``kernels="packed"`` (contiguous-buffer hot path) vs
-``kernels="legacy"`` (the retained per-read reference) -- records
-reads-per-second per stage (sketch / query / compact / segmented_sort
+-- ``query_database`` (contiguous-buffer hot path) vs the per-read
+reference ``legacy_query`` (``tests/_oracles/legacy_query.py``) --
+records reads-per-second per stage (sketch / query / compact / segmented_sort
 / window_count_top) and end-to-end, and merges the result into
 ``BENCH_parallel.json`` (run ``bench_parallel_scaling.py`` first so
 the document exists; a fresh skeleton is created otherwise).
@@ -44,6 +44,9 @@ from repro.util.scan import exclusive_prefix_sum
 PARAMS = SketchParams()  # paper parameters
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_REPO_ROOT / "tests"))
+
+from _oracles.legacy_query import legacy_query  # noqa: E402
 _OUT_DIR = Path(__file__).resolve().parent / "out"
 _JSON_NAME = "BENCH_parallel.json"
 
@@ -140,12 +143,17 @@ def test_lca_batch_throughput(benchmark):
 
 
 def _classify_sweep(db, seqs, chunk_size: int, kernels: str) -> dict:
-    """One full classify pass; returns stage seconds + throughput."""
+    """One full classify pass; returns stage seconds + throughput.
+
+    ``kernels`` names the query path: ``"packed"`` runs
+    ``query_database``, ``"legacy"`` the per-read oracle.
+    """
+    query = legacy_query if kernels == "legacy" else query_database
     stage_seconds: dict[str, float] = {}
     taxa = []
     t0 = time.perf_counter()
     for i in range(0, len(seqs), chunk_size):
-        result = query_database(db, seqs[i : i + chunk_size], kernels=kernels)
+        result = query(db, seqs[i : i + chunk_size])
         cls = classify_reads(db, result.candidates)
         taxa.append(cls.taxon)
         for name, secs in result.stages.stages.items():

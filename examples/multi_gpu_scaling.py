@@ -6,9 +6,9 @@ Demonstrates the paper's operational story end to end, through the
 
 1. a reference set too big for one (artificially small) device forces
    partitioning -- the same reason AFS31+RefSeq202 needs 8 V100s;
-2. ``MetaCache.ephemeral`` distributes targets across devices and a
-   session's query merges per-device top hits along the ring (Fig. 2),
-   with results *identical* to a single-partition database;
+2. ``MetaCache.ephemeral`` distributes targets across devices, and a
+   query merges the per-partition top hits (Section 4.3) with results
+   *identical* to a single-partition database;
 3. on-the-fly mode makes the freshly built database queryable in one
    step, and the cost model projects what that buys on a real DGX-1.
 
@@ -22,7 +22,6 @@ from repro.genomics import GenomeSimulator, ReadSimulator
 from repro.genomics.reads import HISEQ
 from repro.gpu import Device, DeviceSpec, OutOfDeviceMemory
 from repro.gpu.costmodel import DGX1_COST_MODEL
-from repro.gpu.topology import MultiGpuNode
 from repro.taxonomy import build_taxonomy_for_genomes
 
 # a deliberately tiny "GPU" so the mini reference set exceeds one device
@@ -71,10 +70,9 @@ def main() -> None:
             f"per-device MB: {[f'{x:.1f}' for x in per_dev]}"
         )
         reads = ReadSimulator(genomes, seed=5).simulate(HISEQ, 500)
-        node = MultiGpuNode.dgx1(n_gpus, spec=TINY_GPU)
-        run = mc.session(node=node).classify(reads.sequences)
+        run = mc.classify(reads.sequences)
         print(
-            f"  ring query classified {run.n_classified}/500 reads "
+            f"  partitioned query classified {run.n_classified}/500 reads "
             f"(stages: "
             + ", ".join(
                 f"{k} {v * 1e3:.0f}ms" for k, v in run.report.stages.items()

@@ -40,15 +40,16 @@ from repro.core.database import Database
 from repro.core.io import convert_database, load_database, save_database
 from repro.errors import DatabaseFormatError, InvalidMappingError, ReloadError
 from repro.genomics.alphabet import encode_sequence
-from repro.gpu.device import Device
-from repro.gpu.topology import MultiGpuNode
 from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter
 from repro.taxonomy.ncbi import load_ncbi_dump
 from repro.taxonomy.tree import Taxonomy
 from repro.util.timer import Timer
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: server imports the api
+# annotation-only: the server imports the api (a cycle), and the api
+# layer may not import repro.gpu at run time (repro-lint RL007)
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gpu.device import Device
     from repro.server import ClassificationServer, ServerThread
 
 __all__ = ["MetaCache", "load_accession_mapping"]
@@ -486,7 +487,6 @@ class MetaCache:
         self,
         params: ClassificationParams | None = None,
         *,
-        node: MultiGpuNode | None = None,
         workers: int | None = None,
     ) -> QuerySession:
         """Open a warm query session (cheap; make as many as you like).
@@ -501,7 +501,6 @@ class MetaCache:
         session = QuerySession(
             self.database,
             params=params,
-            node=node,
             workers=self.workers if workers is None else workers,
             router=self._router,
         )

@@ -3,9 +3,9 @@
 "querying can be executed ... in an interactive session, which holds
 the database in memory and allows for performing an arbitrary number
 of queries in succession" (Section 4).  :class:`QuerySession` is that
-mode for the public API: it owns the database reference, the default
-decision-rule parameters and the (optional) simulated multi-GPU node,
-and exposes three classification shapes:
+mode for the public API: it owns the database reference and the
+default decision-rule parameters, and exposes three classification
+shapes:
 
 - :meth:`classify` -- one in-memory batch, typed records back;
 - :meth:`classify_iter` -- a lazy generator over an iterable of
@@ -55,7 +55,6 @@ from repro.errors import (
 )
 from repro.genomics.alphabet import encode_sequence
 from repro.genomics.io import iter_sequence_records
-from repro.gpu.topology import MultiGpuNode
 from repro.parallel.chunks import ChunkResult
 from repro.parallel.engine import ParallelClassifier, shared_memory_available
 from repro.pipeline.batch import SequenceBatch
@@ -165,7 +164,6 @@ class QuerySession:
         self,
         database: Database,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
         workers: int = 1,
         router: ShardRouter | None = None,
     ) -> None:
@@ -173,7 +171,6 @@ class QuerySession:
             raise ValueError("workers must be >= 1")
         self.database = database
         self.params = params or database.params.classification
-        self.node = node
         self.workers = workers
         self.router = router
         self.report = RunReport()
@@ -188,7 +185,6 @@ class QuerySession:
         mates: Any = None,
         *,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
         _id_offset: int = 0,
     ) -> ClassificationRun:
         """Classify one in-memory batch of reads.
@@ -229,12 +225,6 @@ class QuerySession:
         db = self.database.retain()
         try:
             if self.router is not None:
-                if node is not None or self.node is not None:
-                    warnings.warn(
-                        "simulated multi-GPU node ignored: this session routes "
-                        "candidate generation through the shard router",
-                        stacklevel=2,
-                    )
                 packed = (
                     payload
                     if isinstance(payload, PackedReads)
@@ -244,11 +234,7 @@ class QuerySession:
             else:
                 query_params = db.params.replace(classification=cp)
                 result = query_database(
-                    db,
-                    payload,
-                    mates=mate_seqs,
-                    params=query_params,
-                    node=node if node is not None else self.node,
+                    db, payload, mates=mate_seqs, params=query_params
                 )
             cls = classify_reads(db, result.candidates, cp)
             records = records_from_classification(
@@ -330,7 +316,6 @@ class QuerySession:
         batches: Iterable[Any],
         *,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
     ) -> Iterator[ClassificationRun]:
         """Lazily classify an iterable of batches, yielding per-batch runs.
 
@@ -350,9 +335,7 @@ class QuerySession:
                 and not isinstance(batch[0], str)
             ):
                 reads, mates = batch
-            run = self.classify(
-                reads, mates, params=params, node=node, _id_offset=offset
-            )
+            run = self.classify(reads, mates, params=params, _id_offset=offset)
             offset += len(run.records)
             yield run
 
@@ -362,11 +345,10 @@ class QuerySession:
         sink: Sink,
         *,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
     ) -> RunReport:
         """Stream batches into a sink; returns the merged run report."""
         total = RunReport()
-        for run in self.classify_iter(batches, params=params, node=node):
+        for run in self.classify_iter(batches, params=params):
             for rec in run.records:
                 sink.write(rec)
             total.merge(run.report)
@@ -380,7 +362,6 @@ class QuerySession:
         sink: Sink | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         params: ClassificationParams | None = None,
-        node: MultiGpuNode | None = None,
         queue_depth: int = 4,
         workers: int | None = None,
     ) -> RunReport:
@@ -400,8 +381,8 @@ class QuerySession:
         database zero-copy (:mod:`repro.parallel`), with results
         reassembled in submission order — output is byte-identical to
         ``workers=1``.  When shared memory is unavailable on the
-        platform, or a simulated multi-GPU ``node`` is in play, the
-        call warns and degrades to single-process classification.
+        platform, the call warns and degrades to single-process
+        classification.
 
         Raises
         ------
@@ -413,7 +394,7 @@ class QuerySession:
             subclass, likewise naming the file.
         """
         try:
-            n_workers = self._effective_workers(workers, node)
+            n_workers = self._effective_workers(workers)
             if n_workers > 1:
                 return self._classify_files_parallel(
                     reads_path,
@@ -430,7 +411,6 @@ class QuerySession:
                 sink=sink,
                 batch_size=batch_size,
                 params=params,
-                node=node,
                 queue_depth=queue_depth,
             )
         except BrokenPipeError:
@@ -453,14 +433,13 @@ class QuerySession:
         sink: Sink | None,
         batch_size: int,
         params: ClassificationParams | None,
-        node: MultiGpuNode | None,
         queue_depth: int,
     ) -> RunReport:
         """The single-process consumer end of :meth:`classify_files`."""
         if mates_path is not None:
             batches = self._paired_batches(reads_path, mates_path, batch_size)
             total = RunReport()
-            for run in self.classify_iter(batches, params=params, node=node):
+            for run in self.classify_iter(batches, params=params):
                 if sink is not None:
                     for rec in run.records:
                         sink.write(rec)
@@ -481,7 +460,7 @@ class QuerySession:
         def consume(q: ClosableQueue) -> RunReport:
             total = RunReport()
             try:
-                for run in self.classify_iter(iter(q), params=params, node=node):
+                for run in self.classify_iter(iter(q), params=params):
                     if sink is not None:
                         for rec in run.records:
                             sink.write(rec)
@@ -527,7 +506,6 @@ class QuerySession:
                 sink=sink,
                 batch_size=batch_size,
                 params=params,
-                node=None,
                 queue_depth=queue_depth,
             )
         cp = params or self.params
@@ -611,9 +589,7 @@ class QuerySession:
                 sink.write(rec)
         return report
 
-    def _effective_workers(
-        self, workers: int | None, node: MultiGpuNode | None
-    ) -> int:
+    def _effective_workers(self, workers: int | None) -> int:
         """Resolve the worker count for one classify_files call."""
         n = self.workers if workers is None else workers
         if n < 1:
@@ -622,13 +598,6 @@ class QuerySession:
             warnings.warn(
                 "worker pool ignored: this session routes batches through "
                 "the shard router, which is already multi-process",
-                stacklevel=3,
-            )
-            return 1
-        if n > 1 and node is not None:
-            warnings.warn(
-                "simulated multi-GPU node given: classifying single-process "
-                "(the worker pool does not model device rings)",
                 stacklevel=3,
             )
             return 1

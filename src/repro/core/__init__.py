@@ -29,7 +29,6 @@ from repro.core.io import save_database, load_database
 from repro.core.onthefly import build_and_query
 from repro.core.mapping import ReadMapping, map_reads
 from repro.core.merge import merge_partition_runs, save_candidates, load_candidates
-from repro.core.session import QuerySession
 
 __all__ = [
     "MetaCacheParams",
@@ -55,5 +54,4 @@ __all__ = [
     "merge_partition_runs",
     "save_candidates",
     "load_candidates",
-    "QuerySession",
 ]

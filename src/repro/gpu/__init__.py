@@ -19,14 +19,17 @@ machinery is reproduced as a *simulation substrate* with three layers:
    DGX-1 measurements, used by the bench harness to project mini-scale
    runs to paper-scale (Tables 3-5, Figures 4-5).
 
-:mod:`repro.gpu.topology` + :mod:`repro.gpu.multi_gpu` model the
-multi-GPU node and the ring-style sketch forwarding of Figure 2.
+The serving layers (:mod:`repro.api`, :mod:`repro.server`,
+:mod:`repro.shard`, :mod:`repro.parallel`, :mod:`repro.pipeline` and
+:mod:`repro.core.query`) do not import this package directly at run
+time (repro-lint RL007): multi-partition queries merge with
+:meth:`repro.core.candidates.Candidates.merged_with` in-process and
+:func:`repro.core.merge.merge_partition_runs` across shards.
 """
 
 from repro.gpu.device import DeviceSpec, Device, V100_32GB, DGX1_SPECS
 from repro.gpu.memory import MemoryPool, OutOfDeviceMemory
 from repro.gpu.stream import Stream, Event
-from repro.gpu.topology import MultiGpuNode
 from repro.gpu.costmodel import CostModel, DGX1_COST_MODEL, HostSpec, DGX1_HOST
 from repro.gpu.pipeline_sim import BatchPipelineSim, PipelineResult
 
@@ -39,7 +42,6 @@ __all__ = [
     "OutOfDeviceMemory",
     "Stream",
     "Event",
-    "MultiGpuNode",
     "CostModel",
     "DGX1_COST_MODEL",
     "HostSpec",

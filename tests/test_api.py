@@ -156,6 +156,7 @@ class TestSessionReuse:
         assert session.report.n_classified == (
             r1.n_classified + r2.n_classified + r3.n_classified
         )
+        assert session.report.n_classified > 0
         assert "3 queries" in session.summary()
 
     def test_same_reads_same_result_across_calls(self, world):
@@ -175,7 +176,13 @@ class TestSessionReuse:
         assert strict.n_classified == 0
         lax = session.classify(named)
         assert lax.n_classified > 0
+        loosest = session.classify(
+            named, params=session.params.replace(min_hits=1)
+        )
+        assert loosest.n_classified > 0
+        # overrides mutate neither the database's nor the session's params
         assert mc.params.classification.min_hits == PARAMS.classification.min_hits
+        assert session.params.min_hits == PARAMS.classification.min_hits
 
     def test_empty_batch(self, world):
         _, _, _, mc, _ = world
@@ -207,8 +214,10 @@ class TestSessionReuse:
 
     def test_session_map(self, world):
         _, _, _, mc, named = world
-        mapping = mc.session().map(named)
+        session = mc.session()
+        mapping = session.map(named)
         assert mapping.target.size == len(named)
+        assert session.n_queries == 1
 
 
 # -------------------------------------------------------------- streaming

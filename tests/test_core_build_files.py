@@ -1,15 +1,12 @@
-"""Tests for the file-based (pipelined) build path.
-
-``build_from_fasta`` is a deprecated shim over
-:class:`repro.core.builder.DatabaseBuilder`; these tests keep gating
-it (results must stay identical to the pre-builder behavior), so the
-expected ``DeprecationWarning`` is filtered at the class level.
-"""
+"""Tests for the file-based (pipelined) build path:
+:meth:`repro.core.builder.DatabaseBuilder.add_fasta` followed by
+``finalize(condense=False)``."""
 
 import numpy as np
 import pytest
 
-from repro.core.build import accession_of, build_from_fasta
+from repro.core.build import accession_of
+from repro.core.builder import DatabaseBuilder
 from repro.errors import BuildError
 from repro.core.classify import classify_reads
 from repro.core.config import MetaCacheParams
@@ -21,6 +18,13 @@ from repro.genomics.simulate import GenomeSimulator
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 
 PARAMS = MetaCacheParams.small()
+
+
+def build_from_files(paths, taxonomy, accession_to_taxon):
+    """Stream reference FASTA files into a build-layout database."""
+    with DatabaseBuilder(taxonomy, PARAMS) as builder:
+        builder.add_fasta(paths, accession_to_taxon)
+        return builder.finalize(condense=False)
 
 
 class TestAccessionOf:
@@ -37,7 +41,6 @@ class TestAccessionOf:
         assert accession_of("") == ""
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestBuildFromFasta:
     @pytest.fixture()
     def world(self, tmp_path):
@@ -55,7 +58,7 @@ class TestBuildFromFasta:
 
     def test_matches_in_memory_build(self, world):
         genomes, taxonomy, taxa, paths, acc2tax = world
-        db_files = build_from_fasta(paths, taxonomy, acc2tax, params=PARAMS)
+        db_files = build_from_files(paths, taxonomy, acc2tax)
         refs = [
             (g.name, g.scaffolds[0], taxa.target_taxon[i])
             for i, g in enumerate(genomes)
@@ -72,8 +75,8 @@ class TestBuildFromFasta:
 
     def test_deterministic_across_runs(self, world):
         _, taxonomy, _, paths, acc2tax = world
-        db1 = build_from_fasta(paths, taxonomy, acc2tax, params=PARAMS)
-        db2 = build_from_fasta(paths, taxonomy, acc2tax, params=PARAMS)
+        db1 = build_from_files(paths, taxonomy, acc2tax)
+        db2 = build_from_files(paths, taxonomy, acc2tax)
         assert [t.name for t in db1.targets] == [t.name for t in db2.targets]
 
     def test_scaffolded_genome_targets(self, tmp_path):
@@ -83,8 +86,8 @@ class TestBuildFromFasta:
         taxonomy, taxa = build_taxonomy_for_genomes(genomes)
         p = tmp_path / "cow.fasta"
         write_fasta(g.to_fasta_records(), p)
-        db = build_from_fasta(
-            [p], taxonomy, {"AFS_COW": taxa.target_taxon[0]}, params=PARAMS
+        db = build_from_files(
+            [p], taxonomy, {"AFS_COW": taxa.target_taxon[0]}
         )
         # every scaffold becomes its own target, all same taxon
         assert db.n_targets == 8
@@ -93,14 +96,9 @@ class TestBuildFromFasta:
     def test_missing_accession_raises(self, world):
         _, taxonomy, _, paths, acc2tax = world
         bad = dict(list(acc2tax.items())[1:])  # drop one mapping
-        # BuildError derives from KeyError, so pre-builder call sites
-        # catching KeyError keep working
+        # BuildError derives from KeyError, so call sites catching
+        # KeyError keep working
         with pytest.raises(KeyError) as exc_info:
-            build_from_fasta(paths, taxonomy, bad, params=PARAMS)
+            build_from_files(paths, taxonomy, bad)
         assert isinstance(exc_info.value, BuildError)
         assert exc_info.value.file is not None
-
-    def test_deprecation_warning_emitted(self, world):
-        _, taxonomy, _, paths, acc2tax = world
-        with pytest.warns(DeprecationWarning, match="DatabaseBuilder"):
-            build_from_fasta(paths, taxonomy, acc2tax, params=PARAMS)

@@ -13,7 +13,6 @@ from repro.core.stats import evaluate_accuracy
 from repro.genomics.community import CommunityMember, MockCommunity
 from repro.genomics.reads import HISEQ, KAL_D, ReadProfile, ReadSimulator
 from repro.genomics.simulate import GenomeSimulator
-from repro.gpu.topology import MultiGpuNode
 from repro.taxonomy.builder import build_taxonomy_for_genomes
 from repro.taxonomy.ranks import Rank
 
@@ -62,15 +61,6 @@ class TestQueryPipeline:
         c1 = classify_reads(db1, r1.candidates)
         c2 = classify_reads(db, r2.candidates)
         assert np.array_equal(c1.taxon, c2.taxon)
-
-    def test_ring_merge_matches_sequential(self, world):
-        genomes, _, _, db = world
-        reads = ReadSimulator(genomes, seed=3).simulate(HISEQ, 60)
-        node = MultiGpuNode.dgx1(db.n_partitions)
-        r_ring = query_database(db, reads.sequences, node=node)
-        r_seq = query_database(db, reads.sequences)
-        assert np.array_equal(r_ring.candidates.score, r_seq.candidates.score)
-        assert np.array_equal(r_ring.candidates.target, r_seq.candidates.target)
 
     def test_paired_end_classification(self, world):
         genomes, _, taxa, db = world

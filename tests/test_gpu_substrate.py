@@ -1,5 +1,5 @@
 """Tests for the GPU simulation substrate (device, memory, streams,
-warp primitives, topology, cost model)."""
+warp primitives, cost model)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.gpu.costmodel import DGX1_COST_MODEL, WorkloadShape
 from repro.gpu.device import DGX1_SPECS, Device, V100_32GB
 from repro.gpu.memory import MemoryPool, OutOfDeviceMemory
 from repro.gpu.stream import Event, Stream
-from repro.gpu.topology import MultiGpuNode
 from repro.gpu.warp import (
     WARP_SIZE,
     ballot,
@@ -151,23 +150,6 @@ class TestWarpPrimitives:
         heads = np.ones(WARP_SIZE, dtype=bool)
         out = segmented_reduce_sum(v, heads)
         assert np.array_equal(out, v)
-
-
-class TestTopology:
-    def test_dgx1(self):
-        node = MultiGpuNode.dgx1(8)
-        assert node.n_gpus == 8
-        assert node.ring_order() == list(range(8))
-
-    def test_transfer_time(self):
-        node = MultiGpuNode.dgx1(2)
-        t = node.transfer_time(0, 1, 25_000_000_000)
-        assert abs(t - 1.0) < 1e-9
-        assert node.transfer_time(0, 0, 10**9) == 0.0
-
-    def test_bad_gpu_count(self):
-        with pytest.raises(ValueError):
-            MultiGpuNode.dgx1(0)
 
 
 class TestCostModel:

@@ -1,5 +1,5 @@
-"""Coverage for the smaller utilities: ring-merge traces, timers,
-table renderers, RNG derivation and the cost model's workload shape."""
+"""Coverage for the smaller utilities: timers, table renderers, RNG
+derivation and the cost model's workload shape."""
 
 import time
 
@@ -7,48 +7,9 @@ import numpy as np
 import pytest
 
 from repro.bench.tables import format_bytes, format_seconds, render_bars, render_table
-from repro.core.candidates import Candidates
 from repro.gpu.costmodel import WorkloadShape
-from repro.gpu.multi_gpu import ring_merge_candidates
-from repro.gpu.topology import MultiGpuNode
 from repro.util.rng import derive_rng
 from repro.util.timer import StageTimer, Timer
-
-
-def _cands(scores):
-    n = len(scores)
-    return Candidates(
-        target=np.arange(n, dtype=np.uint32).reshape(n, 1),
-        window_first=np.zeros((n, 1), dtype=np.uint32),
-        window_last=np.zeros((n, 1), dtype=np.uint32),
-        score=np.array(scores, dtype=np.int64).reshape(n, 1),
-        valid=np.array([s > 0 for s in scores]).reshape(n, 1),
-    )
-
-
-class TestRingMerge:
-    def test_merges_and_traces(self):
-        node = MultiGpuNode.dgx1(3)
-        per_dev = [_cands([5, 0]), _cands([2, 9]), _cands([1, 1])]
-        merged, trace = ring_merge_candidates(
-            node, per_dev, sketch_bytes=10**6, tophit_bytes_per_read=64
-        )
-        assert merged.score[0, 0] == 5
-        assert merged.score[1, 0] == 9
-        assert trace.total_transfer_seconds > 0
-        assert len(trace.forward_times) == 2  # two hops on three devices
-        assert trace.merge_order == [0, 1, 2]
-
-    def test_wrong_device_count(self):
-        node = MultiGpuNode.dgx1(2)
-        with pytest.raises(ValueError):
-            ring_merge_candidates(node, [_cands([1])])
-
-    def test_single_device_passthrough(self):
-        node = MultiGpuNode.dgx1(1)
-        merged, trace = ring_merge_candidates(node, [_cands([3])])
-        assert merged.score[0, 0] == 3
-        assert trace.total_transfer_seconds == 0.0
 
 
 class TestTimers:

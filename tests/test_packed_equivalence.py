@@ -2,8 +2,9 @@
 
 The packed-batch refactor replaces every per-read Python loop on the
 query hot path with contiguous-array kernels.  Its correctness claim
-is strong: *byte-identical* results to the retained per-read reference
-implementations at every stage boundary --
+is strong: *byte-identical* results to the per-read reference
+implementations in ``tests/_oracles/legacy_query.py`` at every stage
+boundary --
 
 - sketches + window->read ids (`sketch_reads_packed` vs
   `sketch_reads_loop`),
@@ -12,8 +13,8 @@ implementations at every stage boundary --
 - sliding-window sizes (batch vs scalar),
 - hash-table locations (identical features => identical location
   arrays),
-- top candidates and classifications (`query_database`
-  kernels="packed" vs kernels="legacy"),
+- top candidates and classifications (`query_database` vs the
+  `legacy_query` oracle),
 - final TSV output across workers in {1, 2} x {in-memory, mmap}.
 
 Randomized read sets are generated two ways: hypothesis drives the
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.api import MetaCache, MetaCacheParams, TsvSink
 from repro.core.classify import classify_reads
-from repro.core.query import _interleave_pairs_loop, query_database
+from repro.core.query import query_database
 from repro.genomics.alphabet import decode_sequence
 from repro.genomics.fastq import FastqRecord, write_fastq
 from repro.genomics.reads import HISEQ, ReadSimulator
@@ -41,13 +42,18 @@ from repro.hashing.minhash import SKETCH_PAD
 from repro.hashing.sketch import (
     SketchParams,
     sketch_reads,
-    sketch_reads_loop,
     sketch_reads_packed,
     sketch_sequence,
 )
 from repro.parallel.engine import shared_memory_available
 from repro.pipeline.packed import PackedReads
 from repro.taxonomy.builder import build_taxonomy_for_genomes
+
+from _oracles.legacy_query import (
+    interleave_pairs_loop,
+    legacy_query,
+    sketch_reads_loop,
+)
 
 PARAMS = MetaCacheParams.small()  # k=8, s=4, w=24
 SK = PARAMS.sketch
@@ -110,7 +116,7 @@ class TestSketchStage:
         reads = _random_reads(lengths, seed)
         mates = _random_reads(lengths[::-1], seed + 1)[: len(reads)]
         # legacy interleaving: the pinned per-element reference
-        seqs, ids, lens = _interleave_pairs_loop(reads, mates)
+        seqs, ids, lens = interleave_pairs_loop(reads, mates)
         s_loop, ids_loop = sketch_reads_loop(seqs, SK, ids)
         packed = PackedReads.from_reads(reads, mates)
         s_pack, ids_pack = sketch_reads_packed(
@@ -326,7 +332,7 @@ class TestQueryEquivalence:
     def test_single_end_packed_equals_legacy(self, world, seed):
         mc, genomes = world
         reads = _mixed_reads(genomes, seed, 60)
-        legacy = query_database(mc.database, reads, kernels="legacy")
+        legacy = legacy_query(mc.database, reads)
         packed = query_database(mc.database, reads)
         prebuilt = query_database(mc.database, PackedReads.from_reads(reads))
         _assert_query_results_equal(legacy, packed)
@@ -341,7 +347,7 @@ class TestQueryEquivalence:
         mc, genomes = world
         reads = _mixed_reads(genomes, seed, 40)
         mates = _mixed_reads(genomes, seed + 100, 40)[: len(reads)]
-        legacy = query_database(mc.database, reads, mates=mates, kernels="legacy")
+        legacy = legacy_query(mc.database, reads, mates=mates)
         packed = query_database(mc.database, reads, mates=mates)
         prebuilt = query_database(
             mc.database, PackedReads.from_reads(reads, mates)
@@ -351,7 +357,7 @@ class TestQueryEquivalence:
 
     def test_empty_batch(self, world):
         mc, _ = world
-        legacy = query_database(mc.database, [], kernels="legacy")
+        legacy = legacy_query(mc.database, [])
         packed = query_database(mc.database, [])
         _assert_query_results_equal(legacy, packed)
         assert packed.n_reads == 0
@@ -377,12 +383,6 @@ class TestQueryEquivalence:
 
     def test_kernels_argument_validated(self, world):
         mc, _ = world
-        with pytest.raises(ValueError, match="unknown kernels"):
-            query_database(mc.database, [], kernels="turbo")
-        with pytest.raises(ValueError, match="requires list input"):
-            query_database(
-                mc.database, PackedReads.empty(), kernels="legacy"
-            )
         with pytest.raises(ValueError, match="mates must be None"):
             query_database(
                 mc.database, PackedReads.empty(), mates=[]
@@ -408,12 +408,12 @@ class TestWorkerStorageMatrix:
         ]
         read_file = tmp / "reads.fastq"
         write_fastq(records, read_file)
-        # the reference TSV comes from the retained legacy kernels,
-        # fed through the same record formatting code
+        # the reference TSV comes from the legacy oracle, fed through
+        # the same record formatting code
         from repro.api.records import records_from_classification
 
         ref_path = tmp / "legacy.tsv"
-        res = query_database(mc.database, reads, kernels="legacy")
+        res = legacy_query(mc.database, reads)
         cls = classify_reads(mc.database, res.candidates)
         recs = records_from_classification(
             mc.database, headers, cls, res.read_lengths

@@ -1,6 +1,6 @@
 """repro-lint framework and rule tests.
 
-Per rule RL000-RL006: one known-bad fixture that must fire (true
+Per rule RL000-RL007: one known-bad fixture that must fire (true
 positive) and one known-good fixture that must stay silent (true
 negative), plus suppression-comment handling, baseline matching with
 stale-entry detection, a regression test pinning the committed
@@ -45,9 +45,11 @@ def lint_tree(tmp_path, select=None, baseline=()):
 # ---------------------------------------------------------------- registry
 
 
-def test_all_seven_rules_registered():
+def test_all_eight_rules_registered():
     ids = [r.rule_id for r in all_rules()]
-    assert ids == ["RL000", "RL001", "RL002", "RL003", "RL004", "RL005", "RL006"]
+    assert ids == [
+        "RL000", "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"
+    ]
     for rule in all_rules():
         assert rule.name and rule.rationale
 
@@ -111,6 +113,13 @@ def sketch_batch(reads):
     for read in reads:
         out.append(read.sum())
     return out
+
+def sketch_reads_loop(reads):
+    """A *_loop name is no exemption: reference oracles live in tests."""
+    out = []
+    for read in reads:
+        out.append(read.sum())
+    return out
 '''
 
 RL001_GOOD = '''
@@ -121,13 +130,6 @@ def sketch_batch(buf, offsets):
     """Batched: fine."""
     return np.add.reduceat(buf, offsets[:-1])
 
-def sketch_reads_loop(reads):
-    """Pinned legacy reference: exempt."""
-    out = []
-    for read in reads:
-        out.append(read.sum())
-    return out
-
 def from_reads(reads):
     """Comprehensions at the batch boundary are allowed."""
     return [len(read) for read in reads]
@@ -136,11 +138,10 @@ def from_reads(reads):
 
 def test_rl001_fires_on_per_read_loop(tmp_path):
     findings = run_rule("RL001", tmp_path, "src/repro/hashing/kern.py", RL001_BAD)
-    assert len(findings) == 1
-    assert findings[0].symbol == "sketch_batch"
+    assert [f.symbol for f in findings] == ["sketch_batch", "sketch_reads_loop"]
 
 
-def test_rl001_silent_on_kernels_loop_refs_and_comprehensions(tmp_path):
+def test_rl001_silent_on_kernels_and_comprehensions(tmp_path):
     findings = run_rule("RL001", tmp_path, "src/repro/hashing/kern.py", RL001_GOOD)
     assert findings == []
 
@@ -472,6 +473,68 @@ def test_rl006_silent_on_closed_or_escaping_mmap_database(tmp_path):
         ''',
     )
     assert findings == []
+
+
+# ------------------------------------------------------------------- RL007
+
+
+def test_rl007_fires_on_runtime_simulation_imports(tmp_path):
+    findings = run_rule(
+        "RL007",
+        tmp_path,
+        "src/repro/api/thing.py",
+        '''
+        """Serving module."""
+        import repro.bench.tables
+        from repro.gpu.device import Device
+        from repro import baselines
+        from ..gpu import topology
+
+        def lazy():
+            """A lazy import still runs."""
+            from repro.gpu.costmodel import DGX1_COST_MODEL
+            return DGX1_COST_MODEL
+        ''',
+    )
+    assert [(f.line, f.symbol) for f in findings] == [
+        (3, "<module>"),
+        (4, "<module>"),
+        (5, "<module>"),
+        (6, "<module>"),
+        (10, "lazy"),
+    ]
+    assert "repro.gpu" in findings[1].message
+
+
+def test_rl007_silent_on_type_checking_and_lower_layers(tmp_path):
+    findings = run_rule(
+        "RL007",
+        tmp_path,
+        "src/repro/core/query.py",
+        '''
+        """Query pipeline."""
+        import typing
+        from typing import TYPE_CHECKING
+
+        from repro.core.candidates import Candidates
+        from repro.gpuish import helper
+        from . import database
+
+        if TYPE_CHECKING:
+            from repro.gpu.device import Device
+        if typing.TYPE_CHECKING:
+            import repro.bench
+        ''',
+    )
+    assert findings == []
+
+
+def test_rl007_out_of_scope_modules_not_checked(tmp_path):
+    for relpath in ("src/repro/core/builder.py", "src/repro/bench/runners.py"):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("from repro.gpu.device import Device\n")
+        assert not get_rule("RL007").applies(Module.parse(path, tmp_path))
 
 
 # ------------------------------------------------------------- suppressions
