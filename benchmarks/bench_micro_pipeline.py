@@ -1,7 +1,9 @@
 """Micro-benchmarks of the query pipeline's vectorized kernels:
 sketching throughput, segmented sort, candidate generation and
 constant-time LCA batches -- plus the packed-vs-legacy stage
-breakdown gating the packed-batch refactor.
+breakdown gating the packed-batch refactor, and the sketch kernel's
+sub-stages (position hashes, window gather, minhash) timed against
+the pre-rewrite kernels in ``tests/_oracles/legacy_sketch.py``.
 
 The breakdown runs the full classify path twice over the same reads
 -- ``query_database`` (contiguous-buffer hot path) vs the per-read
@@ -10,6 +12,9 @@ records reads-per-second per stage (sketch / query / compact / segmented_sort
 / window_count_top) and end-to-end, and merges the result into
 ``BENCH_parallel.json`` (run ``bench_parallel_scaling.py`` first so
 the document exists; a fresh skeleton is created otherwise).
+
+The sketch sub-stage timings are recorded as the ``sketch_kernel``
+block of the same file; they carry no gate.
 
 Run standalone (updates the JSON, exits non-zero below the 1.5x gate):
 
@@ -32,7 +37,13 @@ from repro.bench.tables import render_table
 from repro.core.candidates import generate_top_candidates
 from repro.core.classify import classify_reads
 from repro.core.query import query_database
-from repro.hashing.sketch import SketchParams, sketch_reads, sketch_sequence
+from repro.hashing.minhash import sketch_windows_batch, window_hash_matrix
+from repro.hashing.sketch import (
+    SketchParams,
+    position_hashes,
+    sketch_reads,
+    sketch_sequence,
+)
 from repro.pipeline.packed import PackedReads
 from repro.sort.segmented import segmented_sort
 from repro.taxonomy.lca import LcaIndex
@@ -46,6 +57,7 @@ PARAMS = SketchParams()  # paper parameters
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO_ROOT / "tests"))
 
+from _oracles import legacy_sketch  # noqa: E402
 from _oracles.legacy_query import legacy_query  # noqa: E402
 _OUT_DIR = Path(__file__).resolve().parent / "out"
 _JSON_NAME = "BENCH_parallel.json"
@@ -53,6 +65,10 @@ _JSON_NAME = "BENCH_parallel.json"
 #: the refactor's single-core gate: packed end-to-end classify
 #: throughput must beat the retained per-read reference by this factor
 PACKED_SPEEDUP_GATE = 1.5
+
+#: reads per batch of the sketch sub-stage timings (``QuerySession``'s
+#: default batch size)
+SKETCH_BATCH_READS = 4096
 
 
 def test_sketch_reference_throughput(benchmark):
@@ -248,13 +264,111 @@ def render_packed_report(section: dict) -> str:
     )
 
 
-def merge_into_bench_json(section: dict) -> list[Path]:
-    """Attach the breakdown to BENCH_parallel.json (root + out copies).
+# ------------------------------------------------ sketch sub-stages
 
-    ``bench_parallel_scaling.py`` writes the document wholesale; this
-    runs after it in the bench job and only adds/replaces the
-    ``packed_vs_legacy`` key, so ordering in CI matters but nothing is
-    lost if the scaling sweep was skipped (a skeleton is created).
+
+def run_sketch_kernel(n_reads: int = SKETCH_BATCH_READS, repeats: int = 15) -> dict:
+    """Milliseconds per ``n_reads`` batch of each sketch sub-stage.
+
+    Times the production ``position_hashes`` / ``window_hash_matrix``
+    / ``sketch_windows_batch`` against their pre-rewrite copies in
+    ``legacy_sketch`` on one packed HiSeq-like batch at the paper's
+    parameters; the two sides alternate within each repeat and the
+    median is recorded.  ``byte_identical`` compares every stage's
+    output.
+    """
+    from repro.bench.workloads import hiseq_mini
+
+    packed = PackedReads.from_reads(list(hiseq_mini(n_reads).reads.sequences))
+    buffer, offsets = packed.buffer, packed.offsets
+    _, segment_ids, starts_local, ends_local = PARAMS.layout.packed_window_slices(
+        np.diff(offsets)
+    )
+    starts = offsets[:-1][segment_ids] + starts_local
+    lengths = ends_local - starts_local - PARAMS.k + 1
+    width, s = PARAMS.kmers_per_window, PARAMS.sketch_size
+    hashes = position_hashes(buffer, PARAMS)
+    matrix = window_hash_matrix(hashes, starts, lengths, width)
+    pairs = {
+        "position_hashes": (
+            lambda: position_hashes(buffer, PARAMS),
+            lambda: legacy_sketch.position_hashes(buffer, PARAMS.k),
+        ),
+        "window_gather": (
+            lambda: window_hash_matrix(hashes, starts, lengths, width),
+            lambda: legacy_sketch.window_hash_matrix(hashes, starts, lengths, width),
+        ),
+        "minhash": (
+            lambda: sketch_windows_batch(matrix, s),
+            lambda: legacy_sketch.sketch_windows_batch(matrix, s),
+        ),
+    }
+    stages = {}
+    identical = True
+    for name, (production, legacy) in pairs.items():
+        identical &= bool(np.array_equal(production(), legacy()))
+        times: dict[str, list[float]] = {"production": [], "legacy": []}
+        for _ in range(repeats):
+            for side, fn in (("production", production), ("legacy", legacy)):
+                t0 = time.perf_counter()
+                fn()
+                times[side].append(time.perf_counter() - t0)
+        prod_ms = float(np.median(times["production"])) * 1e3
+        legacy_ms = float(np.median(times["legacy"])) * 1e3
+        stages[name] = {
+            "production_ms": prod_ms,
+            "legacy_ms": legacy_ms,
+            "speedup": legacy_ms / prod_ms,
+        }
+    prod_total = sum(v["production_ms"] for v in stages.values())
+    legacy_total = sum(v["legacy_ms"] for v in stages.values())
+    return {
+        "n_reads": n_reads,
+        "bases": int(buffer.size),
+        "windows": int(segment_ids.size),
+        "params": {"k": PARAMS.k, "sketch_size": s, "window_size": PARAMS.window_size},
+        "repeats": repeats,
+        "stages": stages,
+        "total": {
+            "production_ms": prod_total,
+            "legacy_ms": legacy_total,
+            "speedup": legacy_total / prod_total,
+        },
+        "byte_identical": identical,
+    }
+
+
+def render_sketch_report(section: dict) -> str:
+    """Human-readable sketch sub-stage table."""
+    rows = [
+        [
+            name,
+            f"{v['legacy_ms']:.2f}",
+            f"{v['production_ms']:.2f}",
+            f"{v['speedup']:.2f}x",
+        ]
+        for name, v in [*section["stages"].items(), ("total", section["total"])]
+    ]
+    table = render_table(
+        f"Sketch kernel sub-stages (ms per {section['n_reads']}-read batch, "
+        f"median of {section['repeats']})",
+        ["Stage", "Legacy (ms)", "Production (ms)", "Speedup"],
+        rows,
+    )
+    return table + (
+        f"\nidentical: {'yes' if section['byte_identical'] else 'NO'}\n"
+    )
+
+
+def merge_into_bench_json(sections: dict) -> list[Path]:
+    """Attach sections to BENCH_parallel.json (root + out copies).
+
+    ``sections`` maps a top-level key (``packed_vs_legacy``,
+    ``sketch_kernel``) to its block.  ``bench_parallel_scaling.py``
+    writes the document wholesale; this runs after it in the bench job
+    and only adds/replaces those keys, so ordering in CI matters but
+    nothing is lost if the scaling sweep was skipped (a skeleton is
+    created).
     """
     written = []
     _OUT_DIR.mkdir(exist_ok=True)
@@ -264,22 +378,36 @@ def merge_into_bench_json(section: dict) -> list[Path]:
             if path.exists()
             else {"benchmark": "parallel_scaling", "schema_version": 1}
         )
-        doc["packed_vs_legacy"] = section
+        doc.update(sections)
         path.write_text(json.dumps(doc, indent=2) + "\n")
         written.append(path)
-    table_path = _OUT_DIR / "bench_micro_pipeline_packed.txt"
-    table_path.write_text(render_packed_report(section))
-    written.append(table_path)
+    renderers = {
+        "packed_vs_legacy": ("bench_micro_pipeline_packed.txt", render_packed_report),
+        "sketch_kernel": ("bench_micro_pipeline_sketch.txt", render_sketch_report),
+    }
+    for key, section in sections.items():
+        name, render = renderers[key]
+        table_path = _OUT_DIR / name
+        table_path.write_text(render(section))
+        written.append(table_path)
     return written
 
 
 def test_packed_vs_legacy_breakdown(benchmark, report):
     """Bench-harness entry: breakdown, merge JSON, gate the speedup."""
     section = benchmark.pedantic(run_packed_vs_legacy, rounds=1, iterations=1)
-    merge_into_bench_json(section)
+    merge_into_bench_json({"packed_vs_legacy": section})
     report(render_packed_report(section))
     assert section["byte_identical"]
     assert section["speedup"] >= PACKED_SPEEDUP_GATE
+
+
+def test_sketch_kernel_breakdown(benchmark, report):
+    """Bench-harness entry: sketch sub-stages, merge JSON (no speed gate)."""
+    section = benchmark.pedantic(run_sketch_kernel, rounds=1, iterations=1)
+    merge_into_bench_json({"sketch_kernel": section})
+    report(render_sketch_report(section))
+    assert section["byte_identical"]
 
 
 def main(argv=None) -> int:
@@ -292,10 +420,13 @@ def main(argv=None) -> int:
     section = run_packed_vs_legacy(
         n_reads=args.reads, chunk_size=args.chunk_size
     )
-    for path in merge_into_bench_json(section):
+    sketch = run_sketch_kernel()
+    sections = {"packed_vs_legacy": section, "sketch_kernel": sketch}
+    for path in merge_into_bench_json(sections):
         print(f"wrote {path}", file=sys.stderr)
     print(render_packed_report(section))
-    if not section["byte_identical"]:
+    print(render_sketch_report(sketch))
+    if not (section["byte_identical"] and sketch["byte_identical"]):
         return 2
     return 0 if section["speedup"] >= PACKED_SPEEDUP_GATE else 1
 

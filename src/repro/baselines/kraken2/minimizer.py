@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.genomics.kmers import canonical_kmers, kmer_validity, pack_kmers
+from repro.genomics.kmers import position_canonical_kmers
 from repro.hashing.hashes import fmix64
 
 __all__ = ["extract_minimizers"]
@@ -48,12 +48,12 @@ def extract_minimizers(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    kmers = pack_kmers(codes, m)
-    if kmers.size == 0:
+    canonical, valid = position_canonical_kmers(codes, m)
+    if canonical.size == 0:
         return np.zeros(0, dtype=np.uint64)
-    hashes = fmix64(canonical_kmers(kmers, m))
-    valid = kmer_validity(codes, m)
-    hashes = np.where(valid, hashes, _INVALID)
+    hashes = fmix64(canonical)
+    if valid is not None:
+        hashes[~valid] = _INVALID
     if hashes.size < window:
         mins = np.array([hashes.min()], dtype=np.uint64)
     else:

@@ -36,6 +36,7 @@ from repro.genomics.kmers import (
     canonical_kmers,
     kmer_validity,
     valid_canonical_kmers,
+    position_canonical_kmers,
 )
 from repro.genomics.windows import WindowLayout, num_windows, window_slices
 from repro.genomics.fasta import read_fasta, write_fasta, FastaRecord
@@ -63,6 +64,7 @@ __all__ = [
     "canonical_kmers",
     "kmer_validity",
     "valid_canonical_kmers",
+    "position_canonical_kmers",
     "WindowLayout",
     "num_windows",
     "window_slices",

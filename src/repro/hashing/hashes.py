@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fmix32", "fmix64", "hash_kmers_h1", "hash_features_h2"]
+__all__ = [
+    "fmix32",
+    "fmix64",
+    "hash_kmers_h1",
+    "hash_kmers_h1_inplace",
+    "hash_features_h2",
+]
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -29,15 +35,23 @@ def fmix32(values: np.ndarray | int) -> np.ndarray:
     return h
 
 
+def _fmix64_inplace(h: np.ndarray) -> np.ndarray:
+    """fmix64 of a uint64 array, in place, with one scratch buffer."""
+    t = np.empty_like(h)
+    np.right_shift(h, _U64(33), out=t)
+    h ^= t
+    h *= _U64(0xFF51AFD7ED558CCD)
+    np.right_shift(h, _U64(33), out=t)
+    h ^= t
+    h *= _U64(0xC4CEB9FE1A85EC53)
+    np.right_shift(h, _U64(33), out=t)
+    h ^= t
+    return h
+
+
 def fmix64(values: np.ndarray | int) -> np.ndarray:
     """MurmurHash3 64-bit finalizer (vectorized)."""
-    h = np.asarray(values, dtype=_U64).copy()
-    h ^= h >> _U64(33)
-    h *= _U64(0xFF51AFD7ED558CCD)
-    h ^= h >> _U64(33)
-    h *= _U64(0xC4CEB9FE1A85EC53)
-    h ^= h >> _U64(33)
-    return h
+    return _fmix64_inplace(np.array(values, dtype=_U64))
 
 
 def hash_kmers_h1(kmers: np.ndarray) -> np.ndarray:
@@ -48,7 +62,18 @@ def hash_kmers_h1(kmers: np.ndarray) -> np.ndarray:
     paper's layout, features are 32-bit which keeps the hash-table key
     arrays half the size of naive 64-bit keys.
     """
-    return fmix64(np.asarray(kmers, dtype=_U64)) & _U64(0xFFFFFFFF)
+    return hash_kmers_h1_inplace(np.array(kmers, dtype=_U64))
+
+
+def hash_kmers_h1_inplace(kmers: np.ndarray) -> np.ndarray:
+    """:func:`hash_kmers_h1` of a uint64 array, overwriting and returning it.
+
+    For callers that own a fresh k-mer array (the sketch kernel) and
+    would otherwise pay for a copy of it.
+    """
+    _fmix64_inplace(kmers)
+    kmers &= _U64(0xFFFFFFFF)
+    return kmers
 
 
 def hash_features_h2(features: np.ndarray) -> np.ndarray:

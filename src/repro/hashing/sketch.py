@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.genomics.kmers import canonical_kmers, kmer_validity, pack_kmers
+from repro.genomics.kmers import position_canonical_kmers
 from repro.genomics.windows import WindowLayout
-from repro.hashing.hashes import hash_kmers_h1
+from repro.hashing.hashes import hash_kmers_h1_inplace
 from repro.hashing.minhash import SKETCH_PAD, sketch_windows_batch, window_hash_matrix
 
 __all__ = [
@@ -75,12 +75,13 @@ def position_hashes(codes: np.ndarray, params: SketchParams) -> np.ndarray:
     so they are transparently ignored by the sketch selection.
     Length is ``len(codes) - k + 1`` (empty for short sequences).
     """
-    kmers = pack_kmers(codes, params.k)
-    if kmers.size == 0:
-        return kmers  # empty uint64
-    hashes = hash_kmers_h1(canonical_kmers(kmers, params.k))
-    valid = kmer_validity(codes, params.k)
-    return np.where(valid, hashes, SKETCH_PAD)
+    canonical, valid = position_canonical_kmers(codes, params.k)
+    if canonical.size == 0:
+        return canonical  # empty uint64
+    hashes = hash_kmers_h1_inplace(canonical)
+    if valid is not None:
+        hashes[~valid] = SKETCH_PAD
+    return hashes
 
 
 def sketch_sequence(codes: np.ndarray, params: SketchParams) -> np.ndarray:

@@ -4,6 +4,7 @@
 were packed into one contiguous buffer: pairs are interleaved and
 read lengths summed with per-element Python loops
 (:func:`interleave_pairs_loop`), every read is sketched on its own
+with the pre-rewrite kernels of ``legacy_sketch``
 (:func:`sketch_reads_loop`), and each read's sliding-window size comes
 from the scalar :meth:`MetaCacheParams.sliding_window_size`.  The
 probe, compaction, sort, top-m and partition-merge stages after that
@@ -22,9 +23,15 @@ import numpy as np
 from repro.core.config import MetaCacheParams
 from repro.core.database import Database
 from repro.core.query import QueryResult, _query_sketches
-from repro.hashing.minhash import SKETCH_PAD, sketch_windows_batch, window_hash_matrix
-from repro.hashing.sketch import SketchParams, position_hashes
+from repro.hashing.minhash import SKETCH_PAD
+from repro.hashing.sketch import SketchParams
 from repro.util.timer import StageTimer
+
+from _oracles.legacy_sketch import (
+    position_hashes,
+    sketch_windows_batch,
+    window_hash_matrix,
+)
 
 __all__ = ["interleave_pairs_loop", "legacy_query", "sketch_reads_loop"]
 
@@ -82,7 +89,7 @@ def sketch_reads_loop(
     win_read: list[np.ndarray] = []
     offset = 0
     for seq, rid in zip(sequences, read_ids):
-        h = position_hashes(seq, params)
+        h = position_hashes(seq, params.k)
         if h.size == 0:
             continue
         starts, ends = layout.window_slices(seq.size)

@@ -69,6 +69,11 @@ class TestSketchWindow:
         with pytest.raises(ValueError):
             sketch_window(np.array([1], dtype=np.uint64), 0)
 
+    def test_pad_is_not_a_value(self):
+        h = np.array([5, 3, SKETCH_PAD, 3, 9], dtype=np.uint64)
+        assert list(sketch_window(h, 4)) == [3, 5, 9]
+        assert sketch_window(np.full(3, SKETCH_PAD, dtype=np.uint64), 2).size == 0
+
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=100), st.integers(1, 10))
     @settings(max_examples=50)
     def test_property(self, values, s):
@@ -113,6 +118,7 @@ class TestBatchSketch:
     def test_property_matches_scalar(self, rows, cols, s, seed):
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, 30, size=(rows, cols)).astype(np.uint64)
+        matrix[rng.random((rows, cols)) < 0.25] = SKETCH_PAD
         out = sketch_windows_batch(matrix, s)
         assert out.shape == (rows, s)
         for i in range(rows):
